@@ -35,6 +35,7 @@ from repro.traces import (
     write_azure2019_fixture,
 )
 from repro.traces.schema import MINUTES_PER_DAY, TraceMetadata
+from repro.simulation.spec import RunSpec
 
 from .conftest import save_and_print
 
@@ -116,9 +117,9 @@ def test_azure2019_ingestion_throughput(bench_root, output_dir):
     # Full-dataset-scale engine row: one sparse day at 83k functions driven
     # through the vectorized engine via the CSR-transposed invocation index.
     scale_trace = _synthetic_sparse_day(ENGINE_FUNCTIONS)
-    Simulator(scale_trace, warmup_minutes=0).run(IndexedFixedKeepAlivePolicy(10))
+    Simulator(scale_trace, spec=RunSpec(warmup_minutes=0)).run(IndexedFixedKeepAlivePolicy(10))
     started = time.perf_counter()
-    result = Simulator(scale_trace, warmup_minutes=0).run(
+    result = Simulator(scale_trace, spec=RunSpec(warmup_minutes=0)).run(
         IndexedFixedKeepAlivePolicy(10)
     )
     engine_seconds = time.perf_counter() - started

@@ -31,6 +31,7 @@ from repro.baselines import (
     IndexedFixedKeepAlivePolicy,
     IndexedHybridFunctionPolicy,
 )
+from repro.simulation.spec import RunSpec
 
 from .conftest import save_and_print
 
@@ -40,7 +41,6 @@ THROUGHPUT_CONFIG = ExperimentConfig(
     seed=2024,
     duration_days=14.0,
     training_days=12.0,
-    warmup_minutes=0,
 )
 
 #: Engine-bound policies: near-zero decision cost, so the measured time is
@@ -63,7 +63,7 @@ def _sweep_seconds(split, engine: str) -> float:
     """Wall-clock of one policy sweep (all engine-bound policies) per engine."""
     started = time.perf_counter()
     for _, factory in ENGINE_BOUND_POLICIES:
-        simulator = Simulator(split.simulation, warmup_minutes=0, engine=engine)
+        simulator = Simulator(split.simulation, spec=RunSpec(warmup_minutes=0, engine=engine))
         simulator.run(factory())
     return time.perf_counter() - started
 
@@ -108,7 +108,7 @@ def _end_to_end_seconds(split, factory, repeats: int) -> float:
     """Best-of-N wall-clock of one full simulation (prepare + minute loop)."""
     best = float("inf")
     for _ in range(repeats):
-        simulator = Simulator(split.simulation, split.training, warmup_minutes=0)
+        simulator = Simulator(split.simulation, split.training, spec=RunSpec(warmup_minutes=0))
         started = time.perf_counter()
         simulator.run(factory())
         best = min(best, time.perf_counter() - started)
@@ -180,10 +180,10 @@ def test_event_engine_throughput(throughput_split, output_dir):
         for engine in engines
     }
 
-    vectorized = Simulator(split.simulation, warmup_minutes=0).run(
+    vectorized = Simulator(split.simulation, spec=RunSpec(warmup_minutes=0)).run(
         FixedKeepAlivePolicy(10)
     )
-    event = Simulator(split.simulation, warmup_minutes=0, engine="event").run(
+    event = Simulator(split.simulation, spec=RunSpec(warmup_minutes=0, engine="event")).run(
         FixedKeepAlivePolicy(10)
     )
     assert vectorized.deterministic_fingerprint() == event.deterministic_fingerprint()
@@ -254,7 +254,7 @@ def test_event_cpu_engine_throughput(throughput_split, output_dir):
         best, result = float("inf"), None
         for _ in range(3):
             simulator = Simulator(
-                split.simulation, warmup_minutes=0, engine="event", events=events
+                split.simulation, spec=RunSpec(warmup_minutes=0, engine="event", events=events)
             )
             started = time.perf_counter()
             result = simulator.run(FixedKeepAlivePolicy(10))
@@ -338,11 +338,11 @@ def test_feedback_engine_overhead(throughput_split, output_dir):
     }
 
     # The no-op-hook guarantee, asserted on the bench workload itself.
-    event = Simulator(split.simulation, warmup_minutes=0, engine="event").run(
+    event = Simulator(split.simulation, spec=RunSpec(warmup_minutes=0, engine="event")).run(
         FixedKeepAlivePolicy(10)
     )
     feedback = Simulator(
-        split.simulation, warmup_minutes=0, engine="event-feedback"
+        split.simulation, spec=RunSpec(warmup_minutes=0, engine="event-feedback")
     ).run(FixedKeepAlivePolicy(10))
     assert event.deterministic_fingerprint() == feedback.deterministic_fingerprint()
     assert feedback.latency is not None
@@ -350,7 +350,7 @@ def test_feedback_engine_overhead(throughput_split, output_dir):
     # One consumer run: the policy that actually reads the window.
     started = time.perf_counter()
     consumer = Simulator(
-        split.simulation, warmup_minutes=0, engine="event-feedback"
+        split.simulation, spec=RunSpec(warmup_minutes=0, engine="event-feedback")
     ).run(LatencyAwareKeepAlivePolicy())
     consumer_seconds = time.perf_counter() - started
 
@@ -429,7 +429,7 @@ def test_placement_overhead(throughput_split, output_dir):
         best = float("inf")
         for _ in range(2):
             simulator = Simulator(
-                split.simulation, warmup_minutes=0, cluster=cluster
+                split.simulation, spec=RunSpec(warmup_minutes=0, cluster=cluster)
             )
             started = time.perf_counter()
             simulator.run(IndexedFixedKeepAlivePolicy(10))
@@ -561,7 +561,7 @@ def test_sharded_scale_throughput(output_dir):
     split.training.invocation_index()
     started = time.perf_counter()
     single_result = Simulator(
-        split.simulation, training_trace=split.training, warmup_minutes=0
+        split.simulation, training_trace=split.training, spec=RunSpec(warmup_minutes=0)
     ).run(IndexedHybridFunctionPolicy())
     single_seconds = time.perf_counter() - started
 
@@ -569,7 +569,7 @@ def test_sharded_scale_throughput(output_dir):
     # wall-clock includes partitioning, pool startup, the shared-trace pickle
     # and the merge — the cost a real sweep actually pays.
     runner = ParallelRunner(
-        {"scale": split}, workers=shards, warmup_minutes=0, shards=shards
+        {"scale": split}, workers=shards, spec=RunSpec(warmup_minutes=0, shards=shards)
     )
     spec = PolicySpec.of("hybrid-function-indexed")
     cell = runner.cell("sharded-83k", spec, "scale")
@@ -587,7 +587,7 @@ def test_sharded_scale_throughput(output_dir):
     million_functions = PAPER_SCALE_MULTIPLIER * GeneratorProfile.paper_scale().n_functions
     million_trace = _synthetic_sparse_day(million_functions, days=1)
     started = time.perf_counter()
-    million_result = Simulator(million_trace, warmup_minutes=0).run(
+    million_result = Simulator(million_trace, spec=RunSpec(warmup_minutes=0)).run(
         IndexedFixedKeepAlivePolicy(10)
     )
     million_seconds = time.perf_counter() - started
@@ -655,17 +655,17 @@ def test_parallel_suite_vs_serial(output_dir):
     asserted here and the timings are recorded for inspection.
     """
     config = ExperimentConfig(
-        n_functions=60, seed=2024, duration_days=4.0, training_days=3.0,
-        warmup_minutes=360,
+        n_functions=60, seed=2024, duration_days=4.0, training_days=3.0
     )
+    spec = RunSpec(warmup_minutes=360)
     policies = ("spes", "fixed-10min", "hybrid-function", "defuse")
 
     started = time.perf_counter()
-    serial = ExperimentSuite(config, policies=policies, workers=0).run()
+    serial = ExperimentSuite(config, policies=policies, workers=0, spec=spec).run()
     serial_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    parallel = ExperimentSuite(config, policies=policies, workers=4).run()
+    parallel = ExperimentSuite(config, policies=policies, workers=4, spec=spec).run()
     parallel_seconds = time.perf_counter() - started
 
     seed = config.seed
@@ -705,8 +705,9 @@ def test_mb_accounting_throughput(throughput_split, output_dir):
         best, result = float("inf"), None
         for _ in range(3):
             simulator = Simulator(
-                split.simulation, warmup_minutes=0, engine=engine,
-                memory_mode=memory_mode,
+                split.simulation, spec=RunSpec(
+                    warmup_minutes=0, engine=engine, memory_mode=memory_mode
+                ),
             )
             started = time.perf_counter()
             result = simulator.run(FixedKeepAlivePolicy(10))

@@ -10,6 +10,7 @@ additionally times one SPES decision step directly.
 from repro.core import SpesPolicy
 from repro.experiments import rq2_memory
 from repro.simulation import Simulator
+from repro.simulation.spec import RunSpec
 
 from .conftest import save_and_print
 
@@ -29,7 +30,7 @@ def test_rq2_spes_decision_throughput(benchmark, runner):
         simulator = Simulator(
             simulation_trace=split.simulation,
             training_trace=split.training,
-            warmup_minutes=0,
+            spec=RunSpec(warmup_minutes=0),
         )
         return simulator.run(SpesPolicy(runner.config.spes_config))
 

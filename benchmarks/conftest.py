@@ -23,7 +23,6 @@ BENCHMARK_CONFIG = ExperimentConfig(
     seed=2024,
     duration_days=14.0,
     training_days=12.0,
-    warmup_minutes=1440,
 )
 
 OUTPUT_DIR = Path(__file__).parent / "output"

@@ -22,14 +22,18 @@ except ImportError:  # clean checkout: put <repo>/src on the path
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.experiments import ExperimentConfig, ExperimentRunner, PolicySpec
+from repro.simulation import RunSpec
 
 
 def main() -> None:
     # 1. Configure a workload: 120 functions, 14 days of per-minute
     #    invocations, split into the paper's 12-day training / 2-day
     #    simulation windows.  The runner generates and splits it lazily.
+    #    How the run executes (engine, warm-up, sharding, memory accounting)
+    #    is the RunSpec's job; its defaults are the paper's run shape, e.g.
+    #    RunSpec(warmup_minutes=0) would start every policy cold instead.
     config = ExperimentConfig(n_functions=120, seed=7)
-    runner = ExperimentRunner(config)
+    runner = ExperimentRunner(config, spec=RunSpec(warmup_minutes=1440))
     trace = runner.trace
     print(f"workload: {len(trace)} functions, {trace.duration_days:.0f} days, "
           f"{trace.total_invocations():,} invocations")

@@ -95,6 +95,7 @@ from repro.experiments.rq4_ablation import (
     correlation_ablation,
 )
 from repro.metrics.summary import build_comparison
+from repro.simulation.spec import RunSpec
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
@@ -256,14 +257,10 @@ def _suite_from_args(
         scenario=scenario,
         scenario_params=scenario_params,
         placement=args.placement,
-        engine=args.engine,
-        streaming=args.streaming,
-        shards=args.shards,
-        shard_placement=args.shard_placement,
+        spec=RunSpec.from_cli_args(args),
         cores=args.cores,
         scheduler=args.scheduler,
         slo_ms=args.slo_ms,
-        memory_mode=args.memory_mode,
     )
 
 
@@ -339,16 +336,16 @@ def _command_sweep(args: argparse.Namespace) -> int:
     mode = f"{outcome.workers} workers" if outcome.workers > 1 else "serial"
     scenario_note = f", scenario {scenario}" if scenario else ""
     placement = f", placement {suite.placement}" if suite.placement else ""
-    engine = f", engine {suite.engine}" if suite.engine != "vectorized" else ""
-    streaming = ", streaming" if suite.streaming else ""
-    shards = f", shards {suite.shards}" if suite.shards >= 2 else ""
+    engine = f", engine {suite.spec.engine}" if suite.spec.engine != "vectorized" else ""
+    streaming = ", streaming" if suite.spec.streaming else ""
+    shards = f", shards {suite.spec.shards}" if suite.spec.shards >= 2 else ""
     cpu = ""
     if suite.cores is not None:
         cpu = f", cores {suite.cores} ({suite.scheduler or 'fifo'})"
     if suite.slo_ms is not None:
         cpu += f", slo {suite.slo_ms:g}ms"
-    if suite.memory_mode != "unit":
-        cpu += f", memory {suite.memory_mode}"
+    if suite.spec.memory_mode != "unit":
+        cpu += f", memory {suite.spec.memory_mode}"
     print(
         f"sweep: {len(suite.seeds)} seed(s) x {len(suite.policies)} policies "
         f"in {outcome.wall_seconds:.1f}s ({mode}{scenario_note}{placement}{engine}"

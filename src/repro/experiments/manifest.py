@@ -190,7 +190,6 @@ def suite_from_manifest(
         seed=seeds[0],
         duration_days=float(workload["duration_days"]),
         training_days=float(workload["training_days"]),
-        warmup_minutes=spec.warmup_minutes,
     )
     return ExperimentSuite(
         config=config,

@@ -40,11 +40,6 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence
 import numpy as np
 
 from repro.baselines import (
-    DefusePolicy,
-    FaasCachePolicy,
-    FixedKeepAlivePolicy,
-    HybridApplicationPolicy,
-    HybridFunctionPolicy,
     IndexedDefusePolicy,
     IndexedFaasCachePolicy,
     IndexedFixedKeepAlivePolicy,
@@ -52,9 +47,8 @@ from repro.baselines import (
     IndexedHybridFunctionPolicy,
     IndexedLcsPolicy,
     LatencyAwareKeepAlivePolicy,
-    LcsPolicy,
 )
-from repro.core import IndexedSpesPolicy, SpesPolicy
+from repro.core import IndexedSpesPolicy
 from repro.simulation import (
     ClusterModel,
     EventConfig,
@@ -69,7 +63,6 @@ from repro.simulation.spec import (
     ENGINE_VERSION,
     EVENT_ENGINES,
     RunSpec,
-    canonical_value as _canonical,
     content_digest as _digest,
 )
 from repro.traces import TraceSplit
@@ -89,26 +82,35 @@ __all__ = [
 # --------------------------------------------------------------------- #
 # Policy registry and specs
 # --------------------------------------------------------------------- #
+def _fixed_10min() -> ProvisioningPolicy:
+    return IndexedFixedKeepAlivePolicy(keep_alive_minutes=10)
+
+
 #: Maps spec names to policy factories.  Factories are called with the spec's
 #: keyword parameters; a factory declaring a ``seed`` parameter additionally
 #: receives the cell's deterministic seed.
+#:
+#: Every built-in name resolves to the index-native (vectorized)
+#: implementation.  The dict classes (``SpesPolicy``, ``DefusePolicy``, …)
+#: are decision-identical (fingerprint-equal) and remain the reference side
+#: of the equivalence tests, but no registry name builds them.  Cache keys
+#: hash the spec *name*, never the class, so re-pointing a name moves no key.
 POLICY_REGISTRY: Dict[str, Callable[..., ProvisioningPolicy]] = {
-    "spes": SpesPolicy,
-    "fixed-keepalive": FixedKeepAlivePolicy,
-    "fixed-10min": lambda: FixedKeepAlivePolicy(keep_alive_minutes=10),
-    "hybrid-function": HybridFunctionPolicy,
-    "hybrid-application": HybridApplicationPolicy,
-    "defuse": DefusePolicy,
-    "faascache": FaasCachePolicy,
-    "lcs": LcsPolicy,
+    "spes": IndexedSpesPolicy,
+    "fixed-keepalive": IndexedFixedKeepAlivePolicy,
+    "fixed-10min": _fixed_10min,
+    "hybrid-function": IndexedHybridFunctionPolicy,
+    "hybrid-application": IndexedHybridApplicationPolicy,
+    "defuse": IndexedDefusePolicy,
+    "faascache": IndexedFaasCachePolicy,
+    "lcs": IndexedLcsPolicy,
     "no-keepalive": NoKeepAlivePolicy,
     "always-warm": AlwaysWarmPolicy,
-    # Index-native (vectorized) ports.  Each shares its dict twin's policy
-    # *name* — results are decision-identical (fingerprint-equal) — while the
-    # registry key selects the faster implementation.
+    # Aliases of the same factories: benchmarks and recorded run manifests
+    # name policies by these ``-indexed`` keys.
     "spes-indexed": IndexedSpesPolicy,
     "fixed-keepalive-indexed": IndexedFixedKeepAlivePolicy,
-    "fixed-10min-indexed": lambda: IndexedFixedKeepAlivePolicy(keep_alive_minutes=10),
+    "fixed-10min-indexed": _fixed_10min,
     "hybrid-function-indexed": IndexedHybridFunctionPolicy,
     "hybrid-application-indexed": IndexedHybridApplicationPolicy,
     "faascache-indexed": IndexedFaasCachePolicy,
@@ -129,11 +131,6 @@ def register_policy(name: str, factory: Callable[..., ProvisioningPolicy]) -> No
     if name in POLICY_REGISTRY:
         raise ValueError(f"policy {name!r} is already registered")
     POLICY_REGISTRY[name] = factory
-
-
-# _canonical/_digest (the canonical-value and content-digest helpers) now
-# live in repro.simulation.spec as canonical_value/content_digest; they are
-# imported above under their historical private names for compatibility.
 
 
 @dataclass(frozen=True)
@@ -385,55 +382,33 @@ class ParallelRunner:
         baseline the parallel path is tested against.
     cache_dir:
         Optional directory for the on-disk :class:`ResultCache`.
-    warmup_minutes:
-        Warm-up horizon forwarded to every cell's :class:`Simulator`.
     clusters:
         Optional per-trace-key :class:`~repro.simulation.cluster.ClusterModel`
         mapping.  Cells simulating a trace key with a cluster run in
         capacity-constrained mode; the cluster configuration is part of the
         cell's cache key.
-    engine:
-        Engine implementation every cell runs on (``"vectorized"`` default;
-        ``"event"``/``"event-feedback"`` additionally collect per-event
-        latency distributions).  Part of every cell's cache key: the engines
-        are fingerprint-equivalent for no-op-hook policies, but cached event
-        results carry latency blocks that vectorized runs must not serve —
-        and feedback runs of latency-aware policies are different
-        simulations outright.
     events:
         Optional per-trace-key :class:`~repro.simulation.events.EventConfig`
         mapping for the event engines (e.g. scenario-prescribed duration
         scaling, per-seed jitter seeds, feedback-window horizons).  Keys
-        without an entry use the defaults.  Ignored by the minute-granular
-        engines.
-    streaming:
-        When True, every cell runs in streaming evaluation mode: policies
-        receive no training trace and no warm-up replay — they start cold
-        and must adapt online.  Part of every cell's cache key.
-    shards:
-        When >= 2, shardable cells are split into that many function
-        partitions (see :mod:`repro.simulation.sharding`).  With
-        ``workers > 1`` each partition becomes its *own* pool task — the
-        worker slices its shard from the shared pickled trace, so one big
-        cell parallelizes across processes instead of serializing on the
-        slowest whole-cell task; the parent merges the per-shard results.
-        Serially, the :class:`Simulator` runs its in-process sharded loop.
-        Cells that cannot shard fall back to whole-cell execution with a
-        :class:`~repro.simulation.engine.ShardFallbackWarning`.  Part of
-        every cell's cache key, together with ``shard_placement``.
-    shard_placement:
-        Placement strategy deriving the function→shard partition
-        (default ``"hash"``).
-    memory_mode:
-        Memory accounting mode every cell runs in (``"unit"`` default;
-        ``"mb"`` weighs loaded instances by their measured footprints — see
-        :mod:`repro.simulation.memory`).  Part of every cell's cache key
-        when not ``"unit"``.
+        without an entry use the spec's config, else the defaults.  A
+        mapping on a minute-granular engine is rejected at construction,
+        like any other invalid per-key configuration.
     spec:
-        A ready-made :class:`~repro.simulation.spec.RunSpec` instead of the
-        individual run knobs above (mutually exclusive with them).  The
-        spec's own ``cluster``/``events`` fields act as the default for
-        trace keys without an entry in the per-key mappings.
+        The :class:`~repro.simulation.spec.RunSpec` every cell runs under;
+        its own ``cluster``/``events`` fields act as the default for trace
+        keys without an entry in the per-key mappings.  Every spec field is
+        part of each cell's cache key (see :meth:`RunSpec.cache_key_parts`).
+        The engine selects the implementation (``"event"`` and
+        ``"event-feedback"`` additionally collect per-event latency
+        distributions).  ``streaming=True`` runs every cell with no training
+        trace and no warm-up replay.  With ``shards >= 2`` shardable cells
+        split into function partitions: with ``workers > 1`` each partition
+        becomes its *own* pool task (the worker slices its shard from the
+        shared pickled trace, and the parent merges the per-shard results);
+        serially, the :class:`Simulator` runs its in-process sharded loop.
+        Cells that cannot shard fall back to whole-cell execution with a
+        :class:`~repro.simulation.engine.ShardFallbackWarning`.
     """
 
     def __init__(
@@ -441,42 +416,14 @@ class ParallelRunner:
         traces: Mapping[str, TraceSplit],
         workers: int = 0,
         cache_dir: str | Path | None = None,
-        warmup_minutes: int | None = None,
         clusters: Mapping[str, ClusterModel | None] | None = None,
-        engine: str | None = None,
         events: Mapping[str, EventConfig] | None = None,
-        streaming: bool | None = None,
-        shards: int | None = None,
-        shard_placement: str | None = None,
-        memory_mode: str | None = None,
-        spec: RunSpec | None = None,
+        spec: RunSpec = RunSpec(),
     ) -> None:
         if workers < 0:
             raise ValueError("workers must be non-negative")
-        if spec is None:
-            # Back-compat shim: the classic keywords build the spec, whose
-            # constructor runs the one shared validate().
-            spec = RunSpec.build(
-                engine=engine,
-                streaming=streaming,
-                warmup_minutes=warmup_minutes,
-                shards=shards,
-                shard_placement=shard_placement,
-                memory_mode=memory_mode,
-            )
-        elif any(
-            value is not None
-            for value in (
-                warmup_minutes, engine, streaming,
-                shards, shard_placement, memory_mode,
-            )
-        ):
-            raise ValueError(
-                "pass either spec= or the individual run knobs, not both"
-            )
-        else:
-            spec.validate()
-        self.spec = spec
+        # An unpickled frozen spec never ran __post_init__: validate here.
+        self.spec = spec.validate()
         available = os.cpu_count() or 1
         if workers > available:
             warnings.warn(
@@ -487,13 +434,6 @@ class ParallelRunner:
             )
         self.traces = dict(traces)
         self.workers = workers
-        # Attribute shims: long-standing public names, now views on the spec.
-        self.warmup_minutes = spec.warmup_minutes
-        self.engine = spec.engine
-        self.streaming = spec.streaming
-        self.shards = spec.shards
-        self.shard_placement = spec.shard_placement
-        self.memory_mode = spec.memory_mode
         self.clusters = dict(clusters) if clusters else {}
         unknown = set(self.clusters) - set(self.traces)
         if unknown:
@@ -502,6 +442,10 @@ class ParallelRunner:
         unknown = set(self.events) - set(self.traces)
         if unknown:
             raise KeyError(f"events reference unknown trace key(s): {sorted(unknown)}")
+        # Resolve every key's cell spec now, so an invalid per-key cluster or
+        # event config fails here rather than at the first cell.
+        for trace_key in self.traces:
+            self.cell_run_spec(trace_key)
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         # Computed lazily: hashing every trace's invocation matrix is only
         # needed once cache keys are requested.
@@ -562,10 +506,17 @@ class ParallelRunner:
         return self.clusters.get(trace_key, self.spec.cluster)
 
     def _cell_events(self, trace_key: str) -> EventConfig | None:
-        """The event config a cell runs with (None off the event engines)."""
-        if self.engine not in EVENT_ENGINES:
+        """The event config a cell runs with (per-key over spec default).
+
+        An explicit per-key config is never dropped: on a minute-granular
+        engine it reaches :meth:`RunSpec.validate`, which rejects it.
+        """
+        explicit = self.events.get(trace_key)
+        if explicit is not None:
+            return explicit
+        if self.spec.engine not in EVENT_ENGINES:
             return None
-        return self.events.get(trace_key) or self.spec.events or EventConfig()
+        return self.spec.events or EventConfig()
 
     # ------------------------------------------------------------------ #
     def run_cells(self, cells: Sequence[SweepCell]) -> Dict[str, SimulationResult]:
@@ -591,7 +542,7 @@ class ParallelRunner:
         if pending:
             # Sharding makes even a single pending cell pool-worthy: its
             # partitions are independent tasks that spread over the workers.
-            if self.workers > 1 and (len(pending) > 1 or self.shards >= 2):
+            if self.workers > 1 and (len(pending) > 1 or self.spec.shards >= 2):
                 computed = self._run_pool(pending)
             else:
                 computed = {
@@ -628,16 +579,16 @@ class ParallelRunner:
         it is needed to consult ``shard_safe``.  Fallback reasons are warned
         parent-side so they surface even when the cell then runs in a worker.
         """
-        if self.shards < 2:
+        if self.spec.shards < 2:
             return None
         split = self.traces[cell.trace_key]
-        training = None if self.streaming else split.training
+        training = None if self.spec.streaming else split.training
         reason = shard_fallback_reason(
             cell.spec.build(seed=cell.seed),
-            self.engine,
+            self.spec.engine,
             self._cell_cluster(cell.trace_key),
-            self.shards,
-            self.shard_placement,
+            self.spec.shards,
+            self.spec.shard_placement,
             True,
             set(),
             split.simulation,
@@ -653,9 +604,12 @@ class ParallelRunner:
             )
             return None
         assignment = shard_assignment(
-            self.shards, split.simulation, self.shard_placement, training_trace=training
+            self.spec.shards,
+            split.simulation,
+            self.spec.shard_placement,
+            training_trace=training,
         )
-        return [np.flatnonzero(assignment == shard) for shard in range(self.shards)]
+        return [np.flatnonzero(assignment == shard) for shard in range(self.spec.shards)]
 
     def _run_pool(self, cells: Iterable[SweepCell]) -> Dict[str, SimulationResult]:
         payload = pickle.dumps(self.traces, protocol=pickle.HIGHEST_PROTOCOL)

@@ -111,7 +111,7 @@ class ResultsConfig:
 
     def run_spec(self) -> RunSpec:
         """The validated :class:`RunSpec` the book's RQ1/RQ2 suite runs under."""
-        return RunSpec.build(shards=self.shards, memory_mode=self.memory_mode)
+        return RunSpec(shards=self.shards, memory_mode=self.memory_mode)
 
     def command_line(self) -> str:
         """The ``spes-repro results`` invocation reproducing this document."""
@@ -269,7 +269,7 @@ def generate_results(config: ResultsConfig | None = None, echo: bool = False) ->
         split=workload.split,
         workers=config.workers,
         cache_dir=config.cache_dir,
-        memory_mode=config.memory_mode,
+        spec=RunSpec(memory_mode=config.memory_mode),
     )
     rq3_parts = ["## RQ3 — memory / cold-start trade-off", ""]
     prewarm_points = prewarm_sweep(runner)

@@ -27,6 +27,7 @@ from repro.experiments.runner import ExperimentConfig
 from repro.experiments.suite import ExperimentSuite
 from repro.metrics.summary import ComparisonTable
 from repro.simulation import LatencyStats
+from repro.simulation.spec import RunSpec
 
 __all__ = [
     "DEFAULT_LATENCY_RQ_SCENARIOS",
@@ -70,8 +71,7 @@ def latency_rq(
             cache_dir=cache_dir,
             scenario=scenario,
             scenario_params=scenario_params,
-            engine="event-feedback",
-            streaming=streaming,
+            spec=RunSpec(engine="event-feedback", streaming=streaming),
         )
         outcome = suite.run()
         merged: Dict[str, LatencyStats] = {}

@@ -29,6 +29,7 @@ from repro.experiments.runner import ExperimentConfig
 from repro.experiments.suite import ExperimentSuite
 from repro.metrics.summary import ComparisonTable
 from repro.simulation import LatencyStats
+from repro.simulation.spec import RunSpec
 
 __all__ = [
     "DEFAULT_RQ6_SCENARIOS",
@@ -91,7 +92,7 @@ def slowdown_rq(
                     cache_dir=cache_dir,
                     scenario=scenario,
                     scenario_params=scenario_params,
-                    engine="event",
+                    spec=RunSpec(engine="event"),
                     cores=int(core_count),
                     scheduler=scheduler,
                     slo_ms=slo_ms,

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Mapping
 
-from repro.core import SpesConfig, SpesPolicy
+from repro.core import IndexedSpesPolicy, SpesConfig, SpesPolicy
 from repro.experiments.parallel import ParallelRunner, PolicySpec, default_policy_specs
 from repro.simulation import ProvisioningPolicy, SimulationResult, Simulator
 from repro.simulation.spec import RunSpec
@@ -27,8 +27,6 @@ class ExperimentConfig:
         Total trace length (the Azure trace spans 14 days).
     training_days:
         Days used for offline pattern modelling (12 in the paper).
-    warmup_minutes:
-        Minutes of history replayed through each policy before metrics start.
     include_lcs:
         Whether to include the extra LCS comparator (not in the paper's set).
     spes_config:
@@ -39,7 +37,6 @@ class ExperimentConfig:
     seed: int = 2024
     duration_days: float = 14.0
     training_days: float = 12.0
-    warmup_minutes: int = 1440
     include_lcs: bool = False
     spes_config: SpesConfig = field(default_factory=SpesConfig)
 
@@ -76,14 +73,10 @@ class ExperimentRunner:
     cache_dir:
         Optional directory for the on-disk result cache shared by all
         simulations fanned out through the parallel runner.
-    memory_mode:
-        Memory accounting mode for every simulation (``"unit"`` default,
-        ``"mb"`` weighs instances by measured footprints; see
-        :mod:`repro.simulation.memory`).
     spec:
-        A ready-made :class:`~repro.simulation.spec.RunSpec` instead of the
-        ``memory_mode`` shim (mutually exclusive with it); one validated
-        object describes every simulation this runner executes.
+        The :class:`~repro.simulation.spec.RunSpec` every simulation this
+        runner executes runs under (warm-up horizon, memory accounting,
+        engine, …).  The default reproduces the paper's run shape.
     """
 
     def __init__(
@@ -92,26 +85,14 @@ class ExperimentRunner:
         trace: Trace | None = None,
         workers: int = 0,
         cache_dir: str | Path | None = None,
-        memory_mode: str | None = None,
         split: TraceSplit | None = None,
-        spec: RunSpec | None = None,
+        spec: RunSpec = RunSpec(),
     ) -> None:
         self.config = config or ExperimentConfig()
-        if spec is None:
-            spec = RunSpec.build(
-                warmup_minutes=self.config.warmup_minutes,
-                memory_mode=memory_mode,
-            )
-        elif memory_mode is not None:
-            raise ValueError(
-                "pass either spec= or the individual run knobs, not both"
-            )
-        else:
-            spec.validate()
-        self.spec = spec
+        # An unpickled frozen spec never ran __post_init__: validate here.
+        self.spec = spec.validate()
         self.workers = workers
         self.cache_dir = cache_dir
-        self.memory_mode = spec.memory_mode
         self._trace = trace
         self._split = split
         self._results: Dict[str, SimulationResult] = {}
@@ -142,7 +123,7 @@ class ExperimentRunner:
     def spes_policy(self) -> SpesPolicy:
         """The SPES policy instance used for the cached main run."""
         if self._spes_policy is None:
-            self._spes_policy = SpesPolicy(self.config.spes_config)
+            self._spes_policy = IndexedSpesPolicy(self.config.spes_config)
         return self._spes_policy
 
     def baseline_factories(self) -> Dict[str, Callable[[], ProvisioningPolicy]]:
@@ -268,7 +249,7 @@ class ExperimentRunner:
         """Run a SPES variant with a different configuration (sweeps, ablations)."""
         if cache_key is not None and cache_key in self._results:
             return self._results[cache_key]
-        result = self.simulate(SpesPolicy(config), cache_key=cache_key)
+        result = self.simulate(IndexedSpesPolicy(config), cache_key=cache_key)
         if cache_key is not None:
             self._result_specs[cache_key] = PolicySpec.of("spes", config=config)
         return result

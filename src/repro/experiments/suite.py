@@ -322,32 +322,23 @@ class ExperimentSuite:
         Requires a scenario that actually prescribes a cluster (e.g.
         ``capacity-squeeze`` or ``hot-shard``); ``None`` keeps each
         scenario's own configuration (the ``hash`` default).
-    engine:
-        Engine implementation every cell runs on.  ``"event"`` turns cold
-        starts into latency distributions: each seed's workload gets an
-        :class:`~repro.simulation.events.EventConfig` (the scenario's when a
-        scenario is set, defaults keyed to the seed otherwise) and the
-        result tables grow p50/p95/p99 cold-start latency columns.
+    spec:
+        The :class:`~repro.simulation.spec.RunSpec` every cell runs under
+        (engine, streaming mode, warm-up horizon, sharding, memory
+        accounting).  Its defaults reproduce the paper's run shape: the
+        vectorized engine with a one-day warm-up.  ``engine="event"`` turns
+        cold starts into latency distributions: each seed's workload gets
+        an :class:`~repro.simulation.events.EventConfig` (the scenario's
+        when a scenario is set, defaults keyed to the seed otherwise) and
+        the result tables grow p50/p95/p99 cold-start latency columns.
         ``"event-feedback"`` additionally streams the rolling latency window
-        into every policy's ``on_feedback`` hook between minutes — a no-op
-        for the classic policies, the adaptation signal for latency-aware
-        ones.
-    streaming:
-        When True, the sweep runs in streaming evaluation mode: policies
-        receive *zero* training window (no offline phase input, no warm-up
-        replay) and must adapt online, from inside the simulation window.
-        This is the evaluation regime the continuous-drift scenarios
-        (``rotating-periods``, ``load-ramp``, ``seasonal-mix``) are designed
-        for — an offline histogram trained on a window that no longer
-        describes the traffic is exactly what streaming mode takes away.
-    shards:
-        When >= 2, shardable cells run as function partitions (merged back
-        into one result per cell; see
-        :mod:`repro.simulation.sharding`) — with ``workers > 1`` every
-        partition is its own pool task.  Cells that cannot shard fall back
-        to whole-cell execution with a warning.
-    shard_placement:
-        Placement strategy deriving the function→shard partition.
+        into every policy's ``on_feedback`` hook between minutes.
+        ``streaming=True`` gives policies *zero* training window (no offline
+        phase input, no warm-up replay), the regime the continuous-drift
+        scenarios (``rotating-periods``, ``load-ramp``, ``seasonal-mix``)
+        are designed for.  ``memory_mode="mb"`` adds MB columns to the
+        result tables.  With ``shards >= 2`` shardable cells run as function
+        partitions merged back into one result per cell.
     cores:
         Optional per-node core count: enables the event engines' intra-node
         CPU stage (see :class:`~repro.simulation.scheduling.CpuConfig`),
@@ -360,10 +351,6 @@ class ExperimentSuite:
         Optional sojourn-time SLO in milliseconds, checked per event (see
         :attr:`~repro.simulation.events.EventConfig.slo_ms`); overrides any
         scenario-prescribed SLO.  Requires an event engine.
-    memory_mode:
-        Memory accounting mode for every cell (``"unit"`` default; ``"mb"``
-        weighs loaded instances by measured footprints and adds MB columns
-        to the result tables).  Requires a mask-based engine.
     """
 
     def __init__(
@@ -376,55 +363,22 @@ class ExperimentSuite:
         scenario: str | None = None,
         scenario_params: Mapping[str, object] | None = None,
         placement: str | None = None,
-        engine: str | None = None,
-        streaming: bool | None = None,
-        shards: int | None = None,
-        shard_placement: str | None = None,
         cores: int | None = None,
         scheduler: str | None = None,
         slo_ms: float | None = None,
-        memory_mode: str | None = None,
-        spec: RunSpec | None = None,
+        spec: RunSpec = RunSpec(),
     ) -> None:
         self.config = config or ExperimentConfig()
-        if spec is None:
-            # Back-compat shim: the classic keywords build the spec, whose
-            # constructor runs the one shared validate() — so the suite, the
-            # runner and the simulator reject an invalid configuration with
-            # the identical message.  The warm-up horizon comes from the
-            # experiment configuration, as it always has for suite sweeps.
-            spec = RunSpec.build(
-                engine=engine,
-                streaming=streaming,
-                warmup_minutes=self.config.warmup_minutes,
-                shards=shards,
-                shard_placement=shard_placement,
-                memory_mode=memory_mode,
-            )
-        elif any(
-            value is not None
-            for value in (engine, streaming, shards, shard_placement, memory_mode)
-        ):
-            raise ValueError(
-                "pass either spec= or the individual run knobs, not both"
-            )
-        else:
-            spec.validate()
-        self.spec = spec
-        # Attribute shims: long-standing public names, now views on the spec.
-        self.engine = spec.engine
-        self.memory_mode = spec.memory_mode
-        self.streaming = spec.streaming
-        self.shards = spec.shards
-        self.shard_placement = spec.shard_placement
+        # An unpickled frozen spec never ran __post_init__: validate here.
+        self.spec = spec.validate()
         # The CPU/SLO knobs stay suite-level: they are per-seed *overlays*
         # folded into each workload's EventConfig, not run-shape fields.
         if (cores is not None or scheduler is not None or slo_ms is not None) and (
-            self.engine not in EVENT_ENGINES
+            spec.engine not in EVENT_ENGINES
         ):
             raise ValueError(
                 "cores/scheduler/slo_ms configure the event layer's CPU stage "
-                f"and require an event engine, not {self.engine!r}"
+                f"and require an event engine, not {spec.engine!r}"
             )
         if scheduler is not None and cores is None:
             raise ValueError("scheduler requires cores (the pool it schedules)")
@@ -562,7 +516,7 @@ class ExperimentSuite:
                 workers=self.workers,
                 cache_dir=self.cache_dir,
                 clusters=self._clusters or None,
-                events=self._events if self.engine in EVENT_ENGINES else None,
+                events=self._events if self.spec.engine in EVENT_ENGINES else None,
                 spec=self.spec,
             )
         return self._runner

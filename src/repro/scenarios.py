@@ -90,7 +90,7 @@ Built-in catalog
     ``las``) protect the short jobs — the scheduler contrast RQ6 measures.
 
 The three continuous-drift scenarios are the intended companions of the
-streaming evaluation mode (``ExperimentSuite(streaming=True)`` /
+streaming evaluation mode (``ExperimentSuite(spec=RunSpec(streaming=True))`` /
 ``sweep --streaming``), where policies receive no training window at all
 and must adapt online — e.g. from the ``event-feedback`` engine's rolling
 latency window.

@@ -78,7 +78,7 @@ from typing import Dict, List, Set
 import numpy as np
 
 from repro.simulation.cluster import ClusterModel
-from repro.simulation.events import EventConfig, EventTracker
+from repro.simulation.events import EventTracker
 from repro.simulation.memory import (
     DEFAULT_MEMORY_MB,
     MemoryAccountant,
@@ -105,8 +105,8 @@ from repro.simulation.vector_policy import DictPolicyAdapter, VectorizedPolicy
 from repro.traces.trace import Trace
 
 # The engine catalog constants (ENGINE_IMPLEMENTATIONS, MEMORY_MODES,
-# EVENT_ENGINES, ENGINE_VERSION) historically lived here and are imported
-# from this module all over the tree; they now live in
+# EVENT_ENGINES, ENGINE_VERSION, DEFAULT_WARMUP_MINUTES) historically lived
+# here and are imported from this module all over the tree; they now live in
 # :mod:`repro.simulation.spec` (the validation layer must not import the
 # engine) and are re-exported above for compatibility.
 __all__ = [
@@ -114,6 +114,7 @@ __all__ = [
     "MEMORY_MODES",
     "EVENT_ENGINES",
     "ENGINE_VERSION",
+    "DEFAULT_WARMUP_MINUTES",
     "ShardFallbackWarning",
     "Simulator",
     "simulate_policy",
@@ -141,120 +142,45 @@ class Simulator:
     initially_resident:
         Function ids already loaded when the simulation begins.  Defaults to
         an empty memory.
-    warmup_minutes:
-        Number of minutes from the tail of the training trace replayed
-        through the policy *before* metric collection starts.  The paper's
+    spec:
+        The :class:`~repro.simulation.spec.RunSpec` describing how the run
+        executes: engine implementation, warm-up horizon, sharding, memory
+        accounting, cluster model and event-layer configuration (see the
+        spec's field documentation and the module docstring for the
+        engines).  It is validated on entry.  A streaming spec drops the
+        training trace and the warm-up replay: the policy enters the
+        simulation window completely cold.
+
+        The default warm-up replays one day of the training trace's tail
+        through the policy before metric collection starts.  The paper's
         evaluation treats the 12-day training window and the 2-day
         simulation window as one continuous timeline, so every policy enters
         the simulation with the memory state and recency information its own
-        rules produce; replaying one day of history reproduces that boundary
-        condition.  Set to 0 to start from a completely cold platform.
-    engine:
-        Which implementation runs the minute loop: ``"vectorized"``
-        (default), ``"reference"``, ``"event"`` or ``"event-feedback"`` (see
-        the module docstring).
-    cluster:
-        Optional :class:`~repro.simulation.cluster.ClusterModel` imposing a
-        (possibly sharded) memory cap on the resident set.  Requires a
-        mask-based engine (``vectorized`` or ``event``); the reference
-        engine remains the executable specification of the paper's
-        *uncapped* setting.
-    events:
-        Optional :class:`~repro.simulation.events.EventConfig` for the event
-        engines (jitter seed, duration scaling, feedback-window horizon).
-        Defaults are used when an event engine runs without a config;
-        passing a config with a minute-granular engine is an error.
-    shards:
-        When >= 2, partition the function space into that many shards (see
-        :mod:`repro.simulation.sharding`) and simulate each partition
-        independently, merging the per-shard results into one
-        :class:`~repro.simulation.results.SimulationResult` that is
-        fingerprint-identical to the unsharded run.  Sharding applies only
-        when the configuration decomposes exactly (``shard_safe`` policy,
-        mask-based engine, migration-free node-aligned cluster, …);
-        otherwise :meth:`run` emits a :class:`ShardFallbackWarning` with the
-        coupling that prevents it and executes unsharded.  ``0`` (default)
-        and ``1`` mean unsharded.
-    shard_placement:
-        Name of the :class:`~repro.simulation.placement.PlacementStrategy`
-        deriving the function→shard partition (default ``"hash"``).  For
-        ``shard_safe`` policies the choice affects load balance across
-        shards, never the merged result.
-    memory_mode:
-        ``"unit"`` (default): the paper's abstract one-unit-per-instance
-        accounting, byte-identical to all prior releases.  ``"mb"``:
-        additionally weigh every loaded instance by its measured footprint
-        (``FunctionRecord.memory_mb``, integer-KB quantized; functions
-        without a join fall back to
-        :data:`~repro.simulation.memory.DEFAULT_MEMORY_MB`) and report
-        MB-denominated usage/WMT/EMCR alongside the unit series.  Requires a
-        mask-based engine; residency *decisions* are unchanged unless the
-        cluster model itself is MB-denominated
-        (``ClusterModel.capacity_unit="mb"``, which requires this mode).
-    spec:
-        A ready-made :class:`~repro.simulation.spec.RunSpec` instead of the
-        individual knobs above (mutually exclusive with them).  The spec's
-        ``streaming`` field is honoured: a streaming simulator drops the
-        training trace and the warm-up replay, exactly as the parallel
-        runner's streaming mode always has.
+        rules produce; ``warmup_minutes=0`` starts from a completely cold
+        platform.  With ``shards >= 2``, decomposable runs (``shard_safe``
+        policy, mask-based engine, migration-free node-aligned cluster, …)
+        simulate each function partition independently and merge the
+        per-shard results into one result fingerprint-identical to the
+        unsharded run; otherwise :meth:`run` emits a
+        :class:`ShardFallbackWarning` naming the coupling and executes
+        unsharded.
     """
-
-    #: Default warm-up horizon (see :data:`repro.simulation.spec
-    #: .DEFAULT_WARMUP_MINUTES`, the single home of the value).
-    DEFAULT_WARMUP_MINUTES = DEFAULT_WARMUP_MINUTES
 
     def __init__(
         self,
         simulation_trace: Trace,
         training_trace: Trace | None = None,
         initially_resident: Set[str] | None = None,
-        warmup_minutes: int | None = None,
-        engine: str | None = None,
-        cluster: ClusterModel | None = None,
-        events: EventConfig | None = None,
-        shards: int | None = None,
-        shard_placement: str | None = None,
-        memory_mode: str | None = None,
-        spec: RunSpec | None = None,
+        spec: RunSpec = RunSpec(),
     ) -> None:
-        if spec is None:
-            # Back-compat shim: the classic keywords build the spec, whose
-            # constructor runs the one shared validate().  None means "use
-            # the RunSpec field default".
-            spec = RunSpec.build(
-                engine=engine,
-                warmup_minutes=warmup_minutes,
-                shards=shards,
-                shard_placement=shard_placement,
-                memory_mode=memory_mode,
-                cluster=cluster,
-                events=events,
-            )
-        elif any(
-            value is not None
-            for value in (
-                warmup_minutes, engine, cluster, events,
-                shards, shard_placement, memory_mode,
-            )
-        ):
-            raise ValueError(
-                "pass either spec= or the individual run knobs, not both"
-            )
-        else:
-            spec.validate()
-        self.spec = spec
+        # An unpickled frozen spec never ran __post_init__: validate here.
+        self.spec = spec.validate()
         self.simulation_trace = simulation_trace
         # Streaming semantics live in the spec: no training input, no
         # warm-up replay — the policy enters the window completely cold.
         self.training_trace = None if spec.streaming else training_trace
         self.initially_resident = set(initially_resident or set())
         self.warmup_minutes = 0 if spec.streaming else spec.warmup_minutes
-        self.engine = spec.engine
-        self.cluster = spec.cluster
-        self.events = spec.events
-        self.shards = spec.shards
-        self.shard_placement = spec.shard_placement
-        self.memory_mode = spec.memory_mode
 
     def run(self, policy: ProvisioningPolicy, prepare: bool = True) -> SimulationResult:
         """Simulate ``policy`` over the configured trace and return its result.
@@ -269,18 +195,18 @@ class Simulator:
             Callers that prepared the policy themselves (e.g. to share an
             expensive offline phase across parameter sweeps) can pass False.
         """
-        if self.shards >= 2:
+        if self.spec.shards >= 2:
             reason = shard_fallback_reason(
                 policy,
-                self.engine,
-                self.cluster,
-                self.shards,
-                self.shard_placement,
+                self.spec.engine,
+                self.spec.cluster,
+                self.spec.shards,
+                self.spec.shard_placement,
                 prepare,
                 self.initially_resident,
                 self.simulation_trace,
                 training_trace=self.training_trace,
-                events=self.events,
+                events=self.spec.events,
             )
             if reason is None:
                 return self._run_sharded(policy)
@@ -305,12 +231,12 @@ class Simulator:
         resident: Set[str] = set(self.initially_resident)
         resident |= self._warm_up(policy)
 
-        if self.engine == "reference":
+        if self.spec.engine == "reference":
             return self._run_reference(policy, resident)
         tracker = None
-        if self.engine in EVENT_ENGINES:
+        if self.spec.engine in EVENT_ENGINES:
             tracker = EventTracker(
-                trace, self.events, feedback=self.engine == "event-feedback"
+                trace, self.spec.events, feedback=self.spec.engine == "event-feedback"
             )
         return self._run_vectorized(policy, resident, tracker)
 
@@ -326,14 +252,14 @@ class Simulator:
         shared pickled trace).
         """
         sub_cluster = None
-        if self.cluster is not None:
+        if self.spec.cluster is not None:
             # Shard == node (enforced by the fallback guard): each shard runs
             # its node in isolation under exactly the node's capacity share.
             sub_cluster = ClusterModel(
-                memory_capacity=self.cluster.node_capacity,
+                memory_capacity=self.spec.cluster.node_capacity,
                 n_nodes=1,
                 placement="hash",
-                capacity_unit=self.cluster.capacity_unit,
+                capacity_unit=self.spec.cluster.capacity_unit,
             )
         sub_trace = self.simulation_trace.shard(positions)
         return Simulator(
@@ -360,20 +286,20 @@ class Simulator:
         cluster merging keeps node columns aligned with shard numbers.
         """
         assignment = shard_assignment(
-            self.shards,
+            self.spec.shards,
             self.simulation_trace,
-            self.shard_placement,
+            self.spec.shard_placement,
             training_trace=self.training_trace,
         )
         results: List[SimulationResult | None] = []
-        for shard in range(self.shards):
+        for shard in range(self.spec.shards):
             positions = np.flatnonzero(assignment == shard)
             if positions.size == 0:
                 results.append(None)
                 continue
             sub = self.shard_simulator(positions)
             results.append(sub.run(copy.deepcopy(policy), prepare=True))
-        return SimulationResult.merge_shards(results, cluster_model=self.cluster)
+        return SimulationResult.merge_shards(results, cluster_model=self.spec.cluster)
 
     # ------------------------------------------------------------------ #
     # Vectorized implementation (default)
@@ -454,7 +380,7 @@ class Simulator:
         usage_kb: np.ndarray | None = None
         idle_kb: np.ndarray | None = None
         default_kb = 0
-        if self.memory_mode == "mb":
+        if self.spec.memory_mode == "mb":
             records_by_id = {record.function_id: record for record in trace.records()}
             footprints_kb = footprint_kb_vector(
                 [records_by_id[fid] for fid in function_ids]
@@ -463,7 +389,7 @@ class Simulator:
             usage_kb = np.zeros(duration, dtype=np.int64)
             idle_kb = np.zeros(duration, dtype=np.int64)
 
-        cluster = self.cluster
+        cluster = self.spec.cluster
         arbiter = None
         node_usage: np.ndarray | None = None
         capacity_cold_starts = 0
@@ -701,7 +627,7 @@ class Simulator:
             overhead_per_minute=timer.mean_seconds,
             cluster=cluster_stats,
             latency=latency,
-            memory_mode=self.memory_mode,
+            memory_mode=self.spec.memory_mode,
             memory_usage_kb=(
                 np.array(usage_kb_series, dtype=np.int64)
                 if usage_kb_series is not None
@@ -735,27 +661,13 @@ def simulate_policy(
     simulation_trace: Trace,
     training_trace: Trace | None = None,
     initially_resident: Set[str] | None = None,
-    warmup_minutes: int | None = None,
-    engine: str | None = None,
-    cluster: ClusterModel | None = None,
-    events: EventConfig | None = None,
-    shards: int | None = None,
-    shard_placement: str | None = None,
-    memory_mode: str | None = None,
-    spec: RunSpec | None = None,
+    spec: RunSpec = RunSpec(),
 ) -> SimulationResult:
     """Convenience wrapper: build a :class:`Simulator` and run one policy."""
     simulator = Simulator(
         simulation_trace=simulation_trace,
         training_trace=training_trace,
         initially_resident=initially_resident,
-        warmup_minutes=warmup_minutes,
-        engine=engine,
-        cluster=cluster,
-        events=events,
-        shards=shards,
-        shard_placement=shard_placement,
-        memory_mode=memory_mode,
         spec=spec,
     )
     return simulator.run(policy)

@@ -1,12 +1,11 @@
 """One validated run specification shared by every entry point.
 
-Nine growth steps threaded run parameters — engine choice, streaming mode,
-warm-up horizon, sharding, memory accounting, cluster model, event-layer
-configuration — through four separate surfaces (``Simulator.__init__``,
-``ParallelRunner.__init__``, ``ExperimentSuite.__init__`` and the ``sweep``
-CLI flags), each copy-pasting the cross-field validation rules and each
-carrying its own default values.  :class:`RunSpec` collapses that into one
-frozen dataclass:
+A :class:`RunSpec` is the only way to configure *how* a run executes:
+engine choice, streaming mode, warm-up horizon, sharding, memory accounting,
+cluster model and event-layer configuration.  ``Simulator``,
+``simulate_policy``, ``ParallelRunner``, ``ExperimentSuite`` and
+``ExperimentRunner`` all take one ``spec=`` argument and read every run-shape
+value from it.  The frozen dataclass provides:
 
 * **one validator** — :meth:`RunSpec.validate` holds *every* cross-field
   rule (MB accounting needs a mask-based engine, an event config needs an
@@ -18,9 +17,8 @@ frozen dataclass:
   pre-``RunSpec`` code hand-assembled, so every pre-existing cache entry
   keeps its key byte-for-byte (including the off-default-only append of
   ``memory_mode``);
-* **one set of defaults** — :meth:`RunSpec.build` treats ``None`` as "use
-  the field default", so the back-compat keyword shims on the simulator,
-  runner and suite no longer duplicate default values.
+* **one set of defaults** — the dataclass field defaults; no entry point
+  carries a default of its own.
 
 The module also owns the engine catalog constants (re-exported by
 :mod:`repro.simulation.engine` for compatibility) and the canonical-value /
@@ -139,9 +137,10 @@ class RunSpec:
         Optional event-layer configuration (requires an event engine).
         Same per-key defaulting as ``cluster``.
 
-    Construction through :meth:`build` (or the entry points' keyword shims)
-    validates eagerly; so does :meth:`override`, because the dataclass
-    ``__post_init__`` runs on every construction including ``replace``.
+    Construction validates eagerly; so does :meth:`override`, because the
+    dataclass ``__post_init__`` runs on every construction including
+    ``replace``.  Unpickling does not run ``__post_init__``, which is why
+    every entry point calls :meth:`validate` again on the spec it receives.
     """
 
     engine: str = "vectorized"
@@ -160,36 +159,24 @@ class RunSpec:
     # Construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def build(cls, **overrides: Any) -> "RunSpec":
-        """Construct a spec treating ``None`` overrides as "use the default".
-
-        This is what the back-compat keyword shims on
-        :class:`~repro.simulation.engine.Simulator`,
-        :class:`~repro.experiments.parallel.ParallelRunner` and
-        :class:`~repro.experiments.suite.ExperimentSuite` call: their
-        keywords default to ``None``, so the actual default values live in
-        exactly one place — this dataclass's field defaults.
-        """
-        return cls(**{name: value for name, value in overrides.items() if value is not None})
-
-    @classmethod
     def from_cli_args(cls, args: Any) -> "RunSpec":
         """Build the base spec from a ``sweep``-style argparse namespace.
 
         Reads the run-shape flags (``--engine``, ``--streaming``,
         ``--shards``, ``--shard-placement``, ``--memory-mode`` and an
-        optional ``--warmup-minutes``); absent attributes fall back to the
-        field defaults.  Workload flags (functions, seeds, scenario, …) are
-        not the spec's concern.
+        optional ``--warmup-minutes``); absent or ``None`` attributes fall
+        back to the field defaults.  Workload flags (functions, seeds,
+        scenario, …) are not the spec's concern.
         """
-        return cls.build(
-            engine=getattr(args, "engine", None),
-            streaming=getattr(args, "streaming", None),
-            warmup_minutes=getattr(args, "warmup_minutes", None),
-            shards=getattr(args, "shards", None),
-            shard_placement=getattr(args, "shard_placement", None),
-            memory_mode=getattr(args, "memory_mode", None),
+        names = (
+            "engine", "streaming", "warmup_minutes",
+            "shards", "shard_placement", "memory_mode",
         )
+        return cls(**{
+            name: getattr(args, name)
+            for name in names
+            if getattr(args, name, None) is not None
+        })
 
     def override(self, **changes: Any) -> "RunSpec":
         """A copy with ``changes`` applied (revalidated on construction)."""

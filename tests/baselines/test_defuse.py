@@ -7,6 +7,7 @@ from repro.baselines.defuse import mine_dependencies
 from repro.simulation import simulate_policy
 from repro.traces import FunctionRecord, Trace, TriggerType
 from repro.traces.schema import TraceMetadata
+from repro.simulation.spec import RunSpec
 
 
 def build_trace(counts, records, name="t"):
@@ -89,12 +90,14 @@ class TestDefusePolicy:
     def test_dependency_prewarming_reduces_child_cold_starts(self):
         training = chained_pair_trace(name="train")
         simulation = chained_pair_trace(name="sim")
-        with_deps = simulate_policy(DefusePolicy(), simulation, training, warmup_minutes=60)
+        with_deps = simulate_policy(
+            DefusePolicy(), simulation, training, spec=RunSpec(warmup_minutes=60)
+        )
         without_deps = simulate_policy(
             DefusePolicy(strong_confidence=1.01, weak_confidence=1.01),
             simulation,
             training,
-            warmup_minutes=60,
+            spec=RunSpec(warmup_minutes=60),
         )
         assert (
             with_deps.per_function["child"].cold_starts

@@ -9,6 +9,7 @@ from repro.baselines import FaasCachePolicy, IndexedFaasCachePolicy
 from repro.simulation import simulate_policy
 from repro.traces import FunctionRecord, Trace
 from repro.traces.schema import TraceMetadata
+from repro.simulation.spec import RunSpec
 
 
 def prepared_policy(capacity, n_functions=10):
@@ -152,8 +153,7 @@ class TestIndexedFaasCache:
                 factory(capacity=20, sizes=sizes, costs=costs),
                 small_split.simulation,
                 small_split.training,
-                warmup_minutes=120,
-                engine=engine,
+                spec=RunSpec(warmup_minutes=120, engine=engine),
             ).deterministic_fingerprint()
             for factory in (FaasCachePolicy, IndexedFaasCachePolicy)
             for engine in ("vectorized", "reference")

@@ -6,6 +6,7 @@ from repro.baselines import HybridApplicationPolicy, HybridFunctionPolicy
 from repro.simulation import simulate_policy
 from repro.traces import FunctionRecord, Trace, TriggerType
 from repro.traces.schema import TraceMetadata
+from repro.simulation.spec import RunSpec
 
 
 def build_trace(counts, records, name="t"):
@@ -38,7 +39,9 @@ class TestHybridFunction:
         series = periodic_series(duration, 60)
         training = build_trace({"f": series}, records, "train")
         simulation = build_trace({"f": series}, records, "sim")
-        result = simulate_policy(HybridFunctionPolicy(), simulation, training, warmup_minutes=120)
+        result = simulate_policy(
+            HybridFunctionPolicy(), simulation, training, spec=RunSpec(warmup_minutes=120)
+        )
         stats = result.per_function["f"]
         assert stats.cold_start_rate < 0.1
         assert stats.wasted_memory_time < duration * 0.2
@@ -50,7 +53,7 @@ class TestHybridFunction:
         series[[10, 400]] = 1
         simulation = build_trace({"f": series}, records, "sim")
         policy = HybridFunctionPolicy(uncertain_keep_alive_minutes=50)
-        result = simulate_policy(policy, simulation, None, warmup_minutes=0)
+        result = simulate_policy(policy, simulation, None, spec=RunSpec(warmup_minutes=0))
         stats = result.per_function["f"]
         # Second invocation is 390 minutes later, beyond the 50-minute
         # fallback, so both invocations are cold; memory is bounded by the
@@ -62,7 +65,7 @@ class TestHybridFunction:
         records = [FunctionRecord("f", "a", "o")]
         simulation = build_trace({"f": periodic_series(100, 10)}, records, "sim")
         policy = HybridFunctionPolicy()
-        result = simulate_policy(policy, simulation, None, warmup_minutes=0)
+        result = simulate_policy(policy, simulation, None, spec=RunSpec(warmup_minutes=0))
         assert result.per_function["f"].invocations == 10
 
 
@@ -96,7 +99,9 @@ class TestHybridApplication:
         ]
         training = build_trace({"f1": f1, "f2": f2}, records, "train")
         simulation = build_trace({"f1": f1, "f2": f2}, records, "sim")
-        ha_result = simulate_policy(HybridApplicationPolicy(), simulation, training, warmup_minutes=60)
+        ha_result = simulate_policy(
+            HybridApplicationPolicy(), simulation, training, spec=RunSpec(warmup_minutes=60)
+        )
         assert ha_result.per_function["f2"].cold_start_rate < 0.2
 
     def test_application_grouping_helps_rare_sibling_cold_starts(self):
@@ -110,8 +115,12 @@ class TestHybridApplication:
         ]
         training = build_trace({"f1": f1, "f2": f2}, records, "train")
         simulation = build_trace({"f1": f1, "f2": f2}, records, "sim")
-        hf = simulate_policy(HybridFunctionPolicy(), simulation, training, warmup_minutes=60)
-        ha = simulate_policy(HybridApplicationPolicy(), simulation, training, warmup_minutes=60)
+        hf = simulate_policy(
+            HybridFunctionPolicy(), simulation, training, spec=RunSpec(warmup_minutes=60)
+        )
+        ha = simulate_policy(
+            HybridApplicationPolicy(), simulation, training, spec=RunSpec(warmup_minutes=60)
+        )
         # Grouping lets the rare sibling ride on the frequent function's
         # residency, so it sees no more cold starts than under HF.
         assert (

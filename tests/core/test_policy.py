@@ -8,6 +8,7 @@ from repro.core.categories import FunctionCategory
 from repro.simulation import simulate_policy
 from repro.traces import FunctionRecord, Trace, TriggerType
 from repro.traces.schema import MINUTES_PER_DAY, TraceMetadata
+from repro.simulation.spec import RunSpec
 
 
 def build_trace(counts, records, name="t"):
@@ -28,7 +29,9 @@ class TestRegularProvisioning:
         records = [FunctionRecord("timer", "a", "o", TriggerType.TIMER)]
         training = build_trace({"timer": periodic(duration_train, 60)}, records, "train")
         simulation = build_trace({"timer": periodic(duration_sim, 60)}, records, "sim")
-        result = simulate_policy(SpesPolicy(), simulation, training, warmup_minutes=120)
+        result = simulate_policy(
+            SpesPolicy(), simulation, training, spec=RunSpec(warmup_minutes=120)
+        )
         stats = result.per_function["timer"]
         assert stats.cold_start_rate < 0.1
         # Pre-warming costs at most ~2 * theta_prewarm + 1 idle minutes per cycle.
@@ -39,7 +42,9 @@ class TestRegularProvisioning:
         records = [FunctionRecord("hot", "a", "o", TriggerType.HTTP)]
         training = build_trace({"hot": np.ones(duration, dtype=np.int64)}, records, "train")
         simulation = build_trace({"hot": np.ones(duration, dtype=np.int64)}, records, "sim")
-        result = simulate_policy(SpesPolicy(), simulation, training, warmup_minutes=60)
+        result = simulate_policy(
+            SpesPolicy(), simulation, training, spec=RunSpec(warmup_minutes=60)
+        )
         assert result.per_function["hot"].cold_starts == 0
 
 
@@ -52,7 +57,7 @@ class TestBurstyProvisioning:
         records = [FunctionRecord("bursty", "a", "o", TriggerType.HTTP)]
         training = build_trace({"bursty": series}, records, "train")
         simulation = build_trace({"bursty": series}, records, "sim")
-        result = simulate_policy(SpesPolicy(), simulation, training, warmup_minutes=0)
+        result = simulate_policy(SpesPolicy(), simulation, training, spec=RunSpec(warmup_minutes=0))
         stats = result.per_function["bursty"]
         bursts = max(1, round(duration / 700))
         # At most one cold start per burst (plus slack for the boundary).
@@ -80,18 +85,20 @@ class TestCorrelatedProvisioning:
     def test_correlated_child_rarely_cold(self):
         training, simulation = self._chained_traces()
         policy = SpesPolicy()
-        result = simulate_policy(policy, simulation, training, warmup_minutes=0)
+        result = simulate_policy(policy, simulation, training, spec=RunSpec(warmup_minutes=0))
         child_stats = result.per_function["child"]
         assert child_stats.cold_start_rate < 0.3
 
     def test_disabling_correlation_hurts_child(self):
         training, simulation = self._chained_traces()
-        with_corr = simulate_policy(SpesPolicy(), simulation, training, warmup_minutes=0)
+        with_corr = simulate_policy(
+            SpesPolicy(), simulation, training, spec=RunSpec(warmup_minutes=0)
+        )
         without_corr = simulate_policy(
             SpesPolicy(SpesConfig(enable_correlation=False, enable_online_correlation=False)),
             simulation,
             training,
-            warmup_minutes=0,
+            spec=RunSpec(warmup_minutes=0),
         )
         assert (
             with_corr.per_function["child"].cold_starts
@@ -116,7 +123,7 @@ class TestUnseenFunctions:
             {"known": periodic(MINUTES_PER_DAY, 10), "unseen": sim_unseen}, records, "sim"
         )
         policy = SpesPolicy()
-        result = simulate_policy(policy, simulation, training, warmup_minutes=0)
+        result = simulate_policy(policy, simulation, training, spec=RunSpec(warmup_minutes=0))
         assert result.per_function["unseen"].invocations > 0
         # The unseen function should not be always cold thanks to online
         # correlation / promotion.
@@ -126,14 +133,18 @@ class TestUnseenFunctions:
 class TestPolicyIntrospection:
     def test_category_assignments_exposed(self, small_split):
         policy = SpesPolicy()
-        simulate_policy(policy, small_split.simulation, small_split.training, warmup_minutes=0)
+        simulate_policy(
+            policy, small_split.simulation, small_split.training, spec=RunSpec(warmup_minutes=0)
+        )
         assignments = policy.category_assignments()
         assert assignments
         assert all(isinstance(value, FunctionCategory) for value in assignments.values())
 
     def test_states_and_resident_set_available(self, small_split):
         policy = SpesPolicy()
-        simulate_policy(policy, small_split.simulation, small_split.training, warmup_minutes=0)
+        simulate_policy(
+            policy, small_split.simulation, small_split.training, spec=RunSpec(warmup_minutes=0)
+        )
         assert policy.states
         assert isinstance(policy.resident_functions, set)
 
@@ -141,13 +152,13 @@ class TestPolicyIntrospection:
         duration = 600
         records = [FunctionRecord("f", "a", "o")]
         simulation = build_trace({"f": periodic(duration, 10)}, records, "sim")
-        result = simulate_policy(SpesPolicy(), simulation, None, warmup_minutes=0)
+        result = simulate_policy(SpesPolicy(), simulation, None, spec=RunSpec(warmup_minutes=0))
         assert result.per_function["f"].invocations == 60
 
     def test_invocation_conservation(self, small_split):
         policy = SpesPolicy()
         result = simulate_policy(
-            policy, small_split.simulation, small_split.training, warmup_minutes=0
+            policy, small_split.simulation, small_split.training, spec=RunSpec(warmup_minutes=0)
         )
         expected = sum(
             1
@@ -159,7 +170,10 @@ class TestPolicyIntrospection:
 
     def test_cold_starts_never_exceed_invocations(self, small_split):
         result = simulate_policy(
-            SpesPolicy(), small_split.simulation, small_split.training, warmup_minutes=0
+            SpesPolicy(),
+            small_split.simulation,
+            small_split.training,
+            spec=RunSpec(warmup_minutes=0),
         )
         for stats in result.per_function.values():
             assert 0 <= stats.cold_starts <= stats.invocations
@@ -173,6 +187,9 @@ class TestAblationFlags:
     def test_each_flag_can_be_disabled(self, small_split, flag):
         config = SpesConfig(**{flag: False})
         result = simulate_policy(
-            SpesPolicy(config), small_split.simulation, small_split.training, warmup_minutes=0
+            SpesPolicy(config),
+            small_split.simulation,
+            small_split.training,
+            spec=RunSpec(warmup_minutes=0),
         )
         assert 0.0 <= result.overall_cold_start_rate <= 1.0

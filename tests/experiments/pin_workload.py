@@ -19,7 +19,7 @@ from typing import Dict
 import numpy as np
 
 from repro.experiments.parallel import ParallelRunner, PolicySpec
-from repro.simulation import ClusterModel, EventConfig
+from repro.simulation import ClusterModel, EventConfig, RunSpec
 from repro.simulation.scheduling import CpuConfig
 from repro.traces import FunctionRecord, Trace, TriggerType, split_trace
 from repro.traces.schema import TraceMetadata
@@ -69,11 +69,10 @@ def pin_runners(split) -> Dict[str, ParallelRunner]:
     """The representative configuration matrix, one runner per scenario."""
     traces = {"t": split}
     return {
-        "default": ParallelRunner(traces, warmup_minutes=1440),
+        "default": ParallelRunner(traces, spec=RunSpec(warmup_minutes=1440)),
         "event-cpu": ParallelRunner(
             traces,
-            warmup_minutes=1440,
-            engine="event",
+            spec=RunSpec(warmup_minutes=1440, engine="event"),
             events={
                 "t": EventConfig(
                     seed=7,
@@ -83,13 +82,13 @@ def pin_runners(split) -> Dict[str, ParallelRunner]:
             },
         ),
         "sharded": ParallelRunner(
-            traces, warmup_minutes=1440, shards=4, shard_placement="least-loaded"
+            traces, spec=RunSpec(warmup_minutes=1440, shards=4, shard_placement="least-loaded")
         ),
-        "mb": ParallelRunner(traces, warmup_minutes=1440, memory_mode="mb"),
-        "streaming": ParallelRunner(traces, warmup_minutes=0, streaming=True),
+        "mb": ParallelRunner(traces, spec=RunSpec(warmup_minutes=1440, memory_mode="mb")),
+        "streaming": ParallelRunner(traces, spec=RunSpec(warmup_minutes=0, streaming=True)),
         "cluster": ParallelRunner(
             traces,
-            warmup_minutes=1440,
+            spec=RunSpec(warmup_minutes=1440),
             clusters={"t": ClusterModel(memory_capacity=8, n_nodes=2)},
         ),
     }

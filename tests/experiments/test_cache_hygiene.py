@@ -8,6 +8,7 @@ import pytest
 from repro.experiments import ParallelRunner, PolicySpec, ResultCache
 from repro.simulation import SimulationResult
 from repro.traces import AzureTraceGenerator, GeneratorProfile, split_trace
+from repro.simulation.spec import RunSpec
 
 
 @pytest.fixture(scope="module")
@@ -57,10 +58,10 @@ class TestWorkerOversubscriptionWarning:
     def test_warns_when_workers_exceed_cpu_count(self, split):
         excessive = (os.cpu_count() or 1) + 1
         with pytest.warns(RuntimeWarning, match="exceeds"):
-            ParallelRunner({"w": split}, workers=excessive, warmup_minutes=0)
+            ParallelRunner({"w": split}, workers=excessive, spec=RunSpec(warmup_minutes=0))
 
     def test_no_warning_at_or_below_cpu_count(self, split, recwarn):
-        ParallelRunner({"w": split}, workers=1, warmup_minutes=0)
+        ParallelRunner({"w": split}, workers=1, spec=RunSpec(warmup_minutes=0))
         assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
 
 
@@ -69,10 +70,10 @@ class TestClusterCacheKeys:
         from repro.simulation import ClusterModel
 
         spec = PolicySpec.of("fixed-10min")
-        uncapped = ParallelRunner({"w": split}, warmup_minutes=0)
+        uncapped = ParallelRunner({"w": split}, spec=RunSpec(warmup_minutes=0))
         capped = ParallelRunner(
             {"w": split},
-            warmup_minutes=0,
+            spec=RunSpec(warmup_minutes=0),
             clusters={"w": ClusterModel(memory_capacity=8, n_nodes=2)},
         )
         cell_a = uncapped.cell("c", spec, "w")
@@ -85,6 +86,6 @@ class TestClusterCacheKeys:
         with pytest.raises(KeyError, match="unknown trace key"):
             ParallelRunner(
                 {"w": split},
-                warmup_minutes=0,
+                spec=RunSpec(warmup_minutes=0),
                 clusters={"elsewhere": ClusterModel(memory_capacity=4)},
             )

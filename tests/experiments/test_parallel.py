@@ -16,6 +16,7 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.suite import ExperimentSuite
 from repro.traces import AzureTraceGenerator, GeneratorProfile, split_trace
+from repro.simulation.spec import RunSpec
 
 
 @pytest.fixture(scope="module")
@@ -111,8 +112,8 @@ class TestCellSeeds:
 
 class TestParallelRunner:
     def test_serial_and_parallel_results_identical(self, split, suite_specs):
-        serial = ParallelRunner({"w": split}, workers=0, warmup_minutes=60)
-        parallel = ParallelRunner({"w": split}, workers=2, warmup_minutes=60)
+        serial = ParallelRunner({"w": split}, workers=0, spec=RunSpec(warmup_minutes=60))
+        parallel = ParallelRunner({"w": split}, workers=2, spec=RunSpec(warmup_minutes=60))
         serial_results = serial.run_policies(suite_specs, trace_key="w", base_seed=3)
         parallel_results = parallel.run_policies(suite_specs, trace_key="w", base_seed=3)
         assert list(serial_results) == list(parallel_results) == list(suite_specs)
@@ -123,12 +124,12 @@ class TestParallelRunner:
             ), name
 
     def test_cache_miss_then_hit(self, split, suite_specs, tmp_path):
-        first = ParallelRunner({"w": split}, cache_dir=tmp_path, warmup_minutes=60)
+        first = ParallelRunner({"w": split}, cache_dir=tmp_path, spec=RunSpec(warmup_minutes=60))
         first_results = first.run_policies(suite_specs, trace_key="w")
         assert first.cache.hits == 0
         assert first.cache.misses == len(suite_specs)
 
-        second = ParallelRunner({"w": split}, cache_dir=tmp_path, warmup_minutes=60)
+        second = ParallelRunner({"w": split}, cache_dir=tmp_path, spec=RunSpec(warmup_minutes=60))
         second_results = second.run_policies(suite_specs, trace_key="w")
         assert second.cache.hits == len(suite_specs)
         assert second.cache.misses == 0
@@ -140,8 +141,8 @@ class TestParallelRunner:
 
     def test_cache_keys_depend_on_simulator_settings(self, split, suite_specs, tmp_path):
         spec = suite_specs["no-keepalive"]
-        short = ParallelRunner({"w": split}, cache_dir=tmp_path, warmup_minutes=30)
-        long = ParallelRunner({"w": split}, cache_dir=tmp_path, warmup_minutes=90)
+        short = ParallelRunner({"w": split}, cache_dir=tmp_path, spec=RunSpec(warmup_minutes=30))
+        long = ParallelRunner({"w": split}, cache_dir=tmp_path, spec=RunSpec(warmup_minutes=90))
         key_short = short.cache_key(short.cell("c", spec, "w"))
         key_long = long.cache_key(long.cell("c", spec, "w"))
         assert key_short != key_long
@@ -157,8 +158,9 @@ class TestParallelRunner:
             ("event-feedback", True),
         ):
             runner = ParallelRunner(
-                {"w": split}, cache_dir=tmp_path, warmup_minutes=30,
-                engine=engine, streaming=streaming,
+                {"w": split}, cache_dir=tmp_path, spec=RunSpec(
+                    warmup_minutes=30, engine=engine, streaming=streaming
+                ),
             )
             keys.add(runner.cache_key(runner.cell("c", spec, "w")))
         assert len(keys) == 5
@@ -183,9 +185,7 @@ class TestParallelRunner:
             runner = ParallelRunner(
                 {"w": split},
                 cache_dir=tmp_path,
-                warmup_minutes=30,
-                shards=shards,
-                shard_placement=shard_placement,
+                spec=RunSpec(warmup_minutes=30, shards=shards, shard_placement=shard_placement),
             )
             keys.add(runner.cache_key(runner.cell("c", spec, "w")))
         assert len(keys) == 4
@@ -195,12 +195,12 @@ class TestParallelRunner:
         unit-mode entry — while explicit unit mode keeps the historical key
         (pre-MB caches stay warm)."""
         spec = suite_specs["no-keepalive"]
-        legacy = ParallelRunner({"w": split}, cache_dir=tmp_path, warmup_minutes=30)
+        legacy = ParallelRunner({"w": split}, cache_dir=tmp_path, spec=RunSpec(warmup_minutes=30))
         unit = ParallelRunner(
-            {"w": split}, cache_dir=tmp_path, warmup_minutes=30, memory_mode="unit"
+            {"w": split}, cache_dir=tmp_path, spec=RunSpec(warmup_minutes=30, memory_mode="unit")
         )
         mb = ParallelRunner(
-            {"w": split}, cache_dir=tmp_path, warmup_minutes=30, memory_mode="mb"
+            {"w": split}, cache_dir=tmp_path, spec=RunSpec(warmup_minutes=30, memory_mode="mb")
         )
         legacy_key = legacy.cache_key(legacy.cell("c", spec, "w"))
         assert unit.cache_key(unit.cell("c", spec, "w")) == legacy_key
@@ -214,10 +214,10 @@ class TestParallelRunner:
                 "fixed-5min"
             ].deterministic_fingerprint()
             for label, runner in {
-                "unsharded": ParallelRunner({"w": split}, warmup_minutes=60),
-                "serial": ParallelRunner({"w": split}, warmup_minutes=60, shards=3),
+                "unsharded": ParallelRunner({"w": split}, spec=RunSpec(warmup_minutes=60)),
+                "serial": ParallelRunner({"w": split}, spec=RunSpec(warmup_minutes=60, shards=3)),
                 "pool": ParallelRunner(
-                    {"w": split}, warmup_minutes=60, shards=3, workers=2
+                    {"w": split}, spec=RunSpec(warmup_minutes=60, shards=3), workers=2
                 ),
             }.items()
         }
@@ -226,7 +226,7 @@ class TestParallelRunner:
     def test_sharded_runner_falls_back_for_unsafe_policy(self, split):
         from repro.simulation import ShardFallbackWarning
 
-        runner = ParallelRunner({"w": split}, warmup_minutes=60, shards=2)
+        runner = ParallelRunner({"w": split}, spec=RunSpec(warmup_minutes=60, shards=2))
         cell = runner.cell("c", PolicySpec.of("spes"), "w")
         with pytest.warns(ShardFallbackWarning, match="shard_safe"):
             results = runner.run_cells([cell])
@@ -236,8 +236,8 @@ class TestParallelRunner:
         from repro.experiments.parallel import PolicySpec
 
         spec = PolicySpec.of("hybrid-function-indexed")
-        trained = ParallelRunner({"w": split}, warmup_minutes=60)
-        streaming = ParallelRunner({"w": split}, warmup_minutes=60, streaming=True)
+        trained = ParallelRunner({"w": split}, spec=RunSpec(warmup_minutes=60))
+        streaming = ParallelRunner({"w": split}, spec=RunSpec(warmup_minutes=60, streaming=True))
         trained_result = trained.run_cells([trained.cell("c", spec, "w")])["c"]
         streaming_result = streaming.run_cells([streaming.cell("c", spec, "w")])["c"]
         assert (
@@ -246,17 +246,17 @@ class TestParallelRunner:
         )
 
     def test_corrupt_cache_entry_is_a_miss(self, split, suite_specs, tmp_path):
-        runner = ParallelRunner({"w": split}, cache_dir=tmp_path, warmup_minutes=60)
+        runner = ParallelRunner({"w": split}, cache_dir=tmp_path, spec=RunSpec(warmup_minutes=60))
         cell = runner.cell("c", suite_specs["no-keepalive"], "w")
         runner.run_cells([cell])
         (tmp_path / f"{runner.cache_key(cell)}.pkl").write_bytes(b"not a pickle")
-        rerun = ParallelRunner({"w": split}, cache_dir=tmp_path, warmup_minutes=60)
+        rerun = ParallelRunner({"w": split}, cache_dir=tmp_path, spec=RunSpec(warmup_minutes=60))
         results = rerun.run_cells([cell])
         assert rerun.cache.misses == 1
         assert results["c"].total_invocations > 0
 
     def test_duplicate_cell_names_rejected(self, split, suite_specs):
-        runner = ParallelRunner({"w": split}, warmup_minutes=60)
+        runner = ParallelRunner({"w": split}, spec=RunSpec(warmup_minutes=60))
         cell = runner.cell("same", suite_specs["no-keepalive"], "w")
         with pytest.raises(ValueError):
             runner.run_cells([cell, cell])
@@ -274,17 +274,19 @@ class TestResultCache:
         assert cache.misses == 1
 
 
+#: Run shape of the tiny experiments: a one-hour warm-up keeps them fast.
+TINY_SPEC = RunSpec(warmup_minutes=60)
+
+
 @pytest.fixture(scope="module")
 def tiny_config():
-    return ExperimentConfig(
-        n_functions=30, seed=17, duration_days=2.0, training_days=1.5, warmup_minutes=60
-    )
+    return ExperimentConfig(n_functions=30, seed=17, duration_days=2.0, training_days=1.5)
 
 
 class TestExperimentRunnerParallel:
     def test_parallel_run_all_matches_serial(self, tiny_config):
-        serial = ExperimentRunner(tiny_config).run_all()
-        parallel = ExperimentRunner(tiny_config, workers=2).run_all()
+        serial = ExperimentRunner(tiny_config, spec=TINY_SPEC).run_all()
+        parallel = ExperimentRunner(tiny_config, spec=TINY_SPEC, workers=2).run_all()
         assert set(serial) == set(parallel)
         for name, result in serial.items():
             assert (
@@ -293,28 +295,28 @@ class TestExperimentRunnerParallel:
             ), name
 
     def test_run_spes_variants_batch_is_memoized(self, tiny_config):
-        runner = ExperimentRunner(tiny_config)
+        runner = ExperimentRunner(tiny_config, spec=TINY_SPEC)
         variants = {"variant-a": SpesConfig(theta_prewarm=1)}
         first = runner.run_spes_variants(variants)
         second = runner.run_spes_variants(variants)
         assert first["variant-a"] is second["variant-a"]
 
     def test_run_specs_rejects_name_reuse_with_different_spec(self, tiny_config):
-        runner = ExperimentRunner(tiny_config)
+        runner = ExperimentRunner(tiny_config, spec=TINY_SPEC)
         runner.run_specs({"x": PolicySpec.of("fixed-keepalive", keep_alive_minutes=10)})
         with pytest.raises(ValueError):
             runner.run_specs({"x": PolicySpec.of("fixed-keepalive", keep_alive_minutes=60)})
 
     def test_baseline_factories_match_specs(self, tiny_config):
-        runner = ExperimentRunner(tiny_config)
+        runner = ExperimentRunner(tiny_config, spec=TINY_SPEC)
         factories = runner.baseline_factories()
         assert set(factories) == set(runner.baseline_specs())
         assert factories["fixed-10min"]().keep_alive_minutes == 10
 
     def test_runner_disk_cache(self, tiny_config, tmp_path):
-        first = ExperimentRunner(tiny_config, cache_dir=tmp_path)
+        first = ExperimentRunner(tiny_config, spec=TINY_SPEC, cache_dir=tmp_path)
         first.run_spes_variants({"v": SpesConfig(theta_prewarm=1)})
-        second = ExperimentRunner(tiny_config, cache_dir=tmp_path)
+        second = ExperimentRunner(tiny_config, spec=TINY_SPEC, cache_dir=tmp_path)
         second.run_spes_variants({"v": SpesConfig(theta_prewarm=1)})
         assert second.parallel_runner().cache.hits == 1
 
@@ -322,13 +324,17 @@ class TestExperimentRunnerParallel:
 class TestExperimentSuite:
     def test_serial_and_parallel_suite_identical(self, tiny_config):
         serial = ExperimentSuite(
-            tiny_config, seeds=[21], policies=("spes", "fixed-10min", "faascache")
+            tiny_config,
+            seeds=[21],
+            policies=("spes", "fixed-10min", "faascache"),
+            spec=TINY_SPEC,
         ).run()
         parallel = ExperimentSuite(
             tiny_config,
             seeds=[21],
             policies=("spes", "fixed-10min", "faascache"),
             workers=2,
+            spec=TINY_SPEC,
         ).run()
         for name, result in serial.results[21].items():
             assert (
@@ -338,7 +344,9 @@ class TestExperimentSuite:
 
     def test_policy_order_preserved(self, tiny_config):
         policies = ("spes", "defuse", "fixed-10min")
-        outcome = ExperimentSuite(tiny_config, seeds=[21], policies=policies).run()
+        outcome = ExperimentSuite(
+            tiny_config, seeds=[21], policies=policies, spec=TINY_SPEC
+        ).run()
         assert tuple(outcome.results[21]) == policies
 
     def test_faascache_requires_spes(self, tiny_config):
@@ -351,7 +359,7 @@ class TestExperimentSuite:
 
     def test_tables_render(self, tiny_config):
         outcome = ExperimentSuite(
-            tiny_config, seeds=[21, 22], policies=("spes", "fixed-10min")
+            tiny_config, seeds=[21, 22], policies=("spes", "fixed-10min"), spec=TINY_SPEC
         ).run()
         assert "seed 21" in outcome.seed_table(21).render()
         aggregate = outcome.aggregate_table()

@@ -11,6 +11,7 @@ from repro.experiments.rq4_ablation import (
     adaptivity_ablation,
     correlation_ablation,
 )
+from repro.simulation import RunSpec
 
 
 @pytest.fixture(scope="module")
@@ -20,9 +21,8 @@ def runner():
         seed=41,
         duration_days=4.0,
         training_days=3.0,
-        warmup_minutes=360,
     )
-    return ExperimentRunner(config)
+    return ExperimentRunner(config, spec=RunSpec(warmup_minutes=360))
 
 
 @pytest.fixture(scope="module")

@@ -53,6 +53,7 @@ from repro.simulation import (
     simulate_policy,
 )
 from repro.traces import AzureTraceGenerator, GeneratorProfile, TraceSplit, split_trace
+from repro.simulation.spec import RunSpec
 
 #: Engines that support the uncapped setting (all of them).  The
 #: ``event-feedback`` engine is included deliberately: its feedback hook is a
@@ -204,12 +205,14 @@ def collect_fingerprints(
                 factory(),
                 split.simulation,
                 split.training,
-                warmup_minutes=warmup_minutes,
-                engine=engine,
-                cluster=cluster,
-                events=events if engine == "event" else None,
-                shards=shards,
-                shard_placement=shard_placement,
+                spec=RunSpec(
+                    warmup_minutes=warmup_minutes,
+                    engine=engine,
+                    cluster=cluster,
+                    events=events if engine == "event" else None,
+                    shards=shards,
+                    shard_placement=shard_placement,
+                ),
             )
             fingerprints[f"{impl}/{engine}"] = result.deterministic_fingerprint()
     return fingerprints

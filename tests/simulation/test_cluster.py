@@ -13,6 +13,7 @@ from repro.simulation import (
 from repro.traces import AzureTraceGenerator, GeneratorProfile, split_trace
 from repro.traces import FunctionRecord, Trace
 from repro.traces.schema import TraceMetadata
+from repro.simulation.spec import RunSpec
 
 
 def small_trace(series_by_id, name="t"):
@@ -48,12 +49,14 @@ class TestClusterModel:
     def test_reference_engine_rejects_cluster_mode(self):
         trace = small_trace({"f": [1, 0, 1]})
         with pytest.raises(ValueError, match="mask-based"):
-            Simulator(trace, engine="reference", cluster=ClusterModel(memory_capacity=4))
+            Simulator(
+                trace, spec=RunSpec(engine="reference", cluster=ClusterModel(memory_capacity=4))
+            )
 
     def test_mask_based_engines_accept_cluster_mode(self):
         trace = small_trace({"f": [1, 0, 1]})
         for engine in ("vectorized", "event"):
-            Simulator(trace, engine=engine, cluster=ClusterModel(memory_capacity=4))
+            Simulator(trace, spec=RunSpec(engine=engine, cluster=ClusterModel(memory_capacity=4)))
 
 
 class TestArbiter:
@@ -126,11 +129,14 @@ class TestCapacityConstrainedRuns:
     def test_huge_capacity_matches_the_uncapped_run(self, split):
         uncapped = simulate_policy(
             IndexedFixedKeepAlivePolicy(10), split.simulation, split.training,
-            warmup_minutes=0,
+            spec=RunSpec(warmup_minutes=0),
         )
         capped = simulate_policy(
             IndexedFixedKeepAlivePolicy(10), split.simulation, split.training,
-            warmup_minutes=0, cluster=ClusterModel(memory_capacity=100_000, n_nodes=4),
+            spec=RunSpec(
+                warmup_minutes=0,
+                cluster=ClusterModel(memory_capacity=100_000, n_nodes=4),
+            ),
         )
         assert capped.cluster is not None
         assert capped.cluster.evictions == 0
@@ -147,14 +153,14 @@ class TestCapacityConstrainedRuns:
     def test_squeeze_produces_evictions_and_capacity_cold_starts(self, split):
         uncapped = simulate_policy(
             FixedKeepAlivePolicy(10), split.simulation, split.training,
-            warmup_minutes=0,
+            spec=RunSpec(warmup_minutes=0),
         )
         squeeze = ClusterModel(
             memory_capacity=max(2, uncapped.peak_memory_usage // 3), n_nodes=2
         )
         capped = simulate_policy(
             FixedKeepAlivePolicy(10), split.simulation, split.training,
-            warmup_minutes=0, cluster=squeeze,
+            spec=RunSpec(warmup_minutes=0, cluster=squeeze),
         )
         stats = capped.cluster
         assert stats.evictions > 0
@@ -175,10 +181,10 @@ class TestCapacityConstrainedRuns:
     def test_fingerprint_distinguishes_capacity_runs(self, split):
         capped = simulate_policy(
             AlwaysWarmPolicy(), split.simulation, split.training,
-            warmup_minutes=0, cluster=ClusterModel(memory_capacity=5, n_nodes=1),
+            spec=RunSpec(warmup_minutes=0, cluster=ClusterModel(memory_capacity=5, n_nodes=1)),
         )
         uncapped = simulate_policy(
-            AlwaysWarmPolicy(), split.simulation, split.training, warmup_minutes=0,
+            AlwaysWarmPolicy(), split.simulation, split.training, spec=RunSpec(warmup_minutes=0),
         )
         assert (
             capped.deterministic_fingerprint() != uncapped.deterministic_fingerprint()
@@ -188,11 +194,11 @@ class TestCapacityConstrainedRuns:
         model = ClusterModel(memory_capacity=8, n_nodes=2)
         first = simulate_policy(
             IndexedFixedKeepAlivePolicy(10), split.simulation, split.training,
-            warmup_minutes=120, cluster=model,
+            spec=RunSpec(warmup_minutes=120, cluster=model),
         )
         second = simulate_policy(
             IndexedFixedKeepAlivePolicy(10), split.simulation, split.training,
-            warmup_minutes=120, cluster=model,
+            spec=RunSpec(warmup_minutes=120, cluster=model),
         )
         assert (
             first.deterministic_fingerprint() == second.deterministic_fingerprint()

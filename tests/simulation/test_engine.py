@@ -12,6 +12,7 @@ from repro.simulation import (
 from repro.simulation.policy_base import ProvisioningPolicy
 from repro.traces import FunctionRecord, Trace
 from repro.traces.schema import TraceMetadata
+from repro.simulation.spec import RunSpec
 
 
 def single_function_trace(counts, name="t"):
@@ -22,7 +23,7 @@ def single_function_trace(counts, name="t"):
 class TestDegeneratePolicies:
     def test_no_keepalive_every_invocation_cold(self):
         trace = single_function_trace([1, 0, 1, 0, 1])
-        result = simulate_policy(NoKeepAlivePolicy(), trace, warmup_minutes=0)
+        result = simulate_policy(NoKeepAlivePolicy(), trace, spec=RunSpec(warmup_minutes=0))
         stats = result.per_function["f"]
         assert stats.invocations == 3
         assert stats.cold_starts == 3
@@ -30,7 +31,7 @@ class TestDegeneratePolicies:
 
     def test_always_warm_only_first_invocation_cold(self):
         trace = single_function_trace([1, 0, 1, 0, 1])
-        result = simulate_policy(AlwaysWarmPolicy(), trace, warmup_minutes=0)
+        result = simulate_policy(AlwaysWarmPolicy(), trace, spec=RunSpec(warmup_minutes=0))
         stats = result.per_function["f"]
         assert stats.cold_starts == 1
         # Loaded every minute after the first, idle on minutes 1 and 3.
@@ -40,7 +41,7 @@ class TestDegeneratePolicies:
         records = [FunctionRecord(f"f{i}", "a", "o") for i in range(3)]
         counts = {"f0": [1, 0, 0], "f1": [0, 0, 0], "f2": [0, 1, 0]}
         trace = Trace(records, counts, TraceMetadata(name="t", duration_minutes=3))
-        result = simulate_policy(AlwaysWarmPolicy(), trace, warmup_minutes=0)
+        result = simulate_policy(AlwaysWarmPolicy(), trace, spec=RunSpec(warmup_minutes=0))
         assert result.peak_memory_usage == 3
 
 
@@ -55,7 +56,7 @@ class TestAccountingRules:
                 return set(invocations)
 
         trace = single_function_trace([1, 0, 1])
-        result = simulate_policy(OneMinutePolicy(), trace, warmup_minutes=0)
+        result = simulate_policy(OneMinutePolicy(), trace, spec=RunSpec(warmup_minutes=0))
         assert result.per_function["f"].cold_starts == 2
 
     def test_warm_start_when_policy_keeps_resident(self):
@@ -70,7 +71,7 @@ class TestAccountingRules:
                 return set(self._seen)
 
         trace = single_function_trace([1, 0, 1])
-        result = simulate_policy(KeepForeverPolicy(), trace, warmup_minutes=0)
+        result = simulate_policy(KeepForeverPolicy(), trace, spec=RunSpec(warmup_minutes=0))
         assert result.per_function["f"].cold_starts == 1
 
     def test_wmt_charged_for_resident_idle_minutes(self):
@@ -85,17 +86,17 @@ class TestAccountingRules:
                 return set(self._seen)
 
         trace = single_function_trace([1, 0, 0, 0, 1])
-        result = simulate_policy(KeepForeverPolicy(), trace, warmup_minutes=0)
+        result = simulate_policy(KeepForeverPolicy(), trace, spec=RunSpec(warmup_minutes=0))
         assert result.per_function["f"].wasted_memory_time == 3
 
     def test_memory_usage_includes_on_demand_loads(self):
         trace = single_function_trace([0, 1, 0])
-        result = simulate_policy(NoKeepAlivePolicy(), trace, warmup_minutes=0)
+        result = simulate_policy(NoKeepAlivePolicy(), trace, spec=RunSpec(warmup_minutes=0))
         np.testing.assert_array_equal(result.memory_usage, [0, 1, 0])
 
     def test_overhead_is_measured(self):
         trace = single_function_trace([1, 1, 1])
-        result = simulate_policy(NoKeepAlivePolicy(), trace, warmup_minutes=0)
+        result = simulate_policy(NoKeepAlivePolicy(), trace, spec=RunSpec(warmup_minutes=0))
         assert result.overhead_seconds >= 0.0
         assert result.overhead_per_minute >= 0.0
 
@@ -110,7 +111,7 @@ class TestWarmup:
         training = single_function_trace([0] * 5 + [1], name="train")
         simulation = single_function_trace([0, 0, 1], name="sim")
         result = simulate_policy(
-            FixedKeepAlivePolicy(10), simulation, training, warmup_minutes=6
+            FixedKeepAlivePolicy(10), simulation, training, spec=RunSpec(warmup_minutes=6)
         )
         assert result.per_function["f"].cold_starts == 0
 
@@ -120,14 +121,14 @@ class TestWarmup:
         training = single_function_trace([0] * 5 + [1], name="train")
         simulation = single_function_trace([0, 0, 1], name="sim")
         result = simulate_policy(
-            FixedKeepAlivePolicy(10), simulation, training, warmup_minutes=0
+            FixedKeepAlivePolicy(10), simulation, training, spec=RunSpec(warmup_minutes=0)
         )
         assert result.per_function["f"].cold_starts == 1
 
     def test_warmup_minutes_validation(self):
         trace = single_function_trace([1])
         with pytest.raises(ValueError):
-            Simulator(trace, warmup_minutes=-1)
+            Simulator(trace, spec=RunSpec(warmup_minutes=-1))
 
     def test_warmup_does_not_charge_metrics(self):
         from repro.baselines import FixedKeepAlivePolicy
@@ -135,7 +136,7 @@ class TestWarmup:
         training = single_function_trace([1] * 10, name="train")
         simulation = single_function_trace([0, 0, 0], name="sim")
         result = simulate_policy(
-            FixedKeepAlivePolicy(2), simulation, training, warmup_minutes=10
+            FixedKeepAlivePolicy(2), simulation, training, spec=RunSpec(warmup_minutes=10)
         )
         # The function was never invoked during the simulation window.
         assert result.total_invocations == 0
@@ -152,8 +153,7 @@ class TestEngineEquivalence:
                 simulation,
                 training,
                 initially_resident=resident,
-                warmup_minutes=warmup,
-                engine=engine,
+                spec=RunSpec(warmup_minutes=warmup, engine=engine),
             )
             results[engine] = simulator.run(policy_factory())
         reference, vectorized = results["reference"], results["vectorized"]
@@ -232,7 +232,7 @@ class TestEngineEquivalence:
     def test_unknown_engine_rejected(self):
         trace = single_function_trace([1])
         with pytest.raises(ValueError):
-            Simulator(trace, engine="warp-drive")
+            Simulator(trace, spec=RunSpec(engine="warp-drive"))
 
 
 class TestSimulatorReuse:
@@ -245,7 +245,7 @@ class TestSimulatorReuse:
                 super().prepare(functions, training)
 
         trace = single_function_trace([1, 0])
-        simulator = Simulator(trace, warmup_minutes=0)
+        simulator = Simulator(trace, spec=RunSpec(warmup_minutes=0))
         policy = RecordingPolicy()
         policy.prepare(trace.records(), None)
         simulator.run(policy, prepare=False)

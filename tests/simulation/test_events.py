@@ -23,6 +23,7 @@ from repro.traces import (
     duration_profile_for,
 )
 from repro.traces.schema import TraceMetadata
+from repro.simulation.spec import RunSpec
 
 
 # --------------------------------------------------------------------- #
@@ -104,19 +105,18 @@ def _dense_trace(count_per_minute: int = 20, duration: int = 30) -> Trace:
 class TestEventEngine:
     def test_event_config_requires_event_engine(self, small_split):
         with pytest.raises(ValueError, match="requires an event engine"):
-            Simulator(small_split.simulation, events=EventConfig())
+            Simulator(small_split.simulation, spec=RunSpec(events=EventConfig()))
 
     def test_reference_engine_rejects_cluster(self, small_split):
         with pytest.raises(ValueError, match="mask-based"):
             Simulator(
                 small_split.simulation,
-                engine="reference",
-                cluster=ClusterModel(memory_capacity=10),
+                spec=RunSpec(engine="reference", cluster=ClusterModel(memory_capacity=10)),
             )
 
     def test_minute_engines_carry_no_latency_block(self, small_split):
         result = simulate_policy(
-            FixedKeepAlivePolicy(10), small_split.simulation, warmup_minutes=0
+            FixedKeepAlivePolicy(10), small_split.simulation, spec=RunSpec(warmup_minutes=0)
         )
         assert result.latency is None
 
@@ -124,8 +124,7 @@ class TestEventEngine:
         result = simulate_policy(
             FixedKeepAlivePolicy(10),
             small_split.simulation,
-            warmup_minutes=0,
-            engine="event",
+            spec=RunSpec(warmup_minutes=0, engine="event"),
         )
         latency = result.latency
         assert latency.total_events == small_split.simulation.total_invocations()
@@ -140,9 +139,7 @@ class TestEventEngine:
             simulate_policy(
                 IndexedFixedKeepAlivePolicy(10),
                 small_split.simulation,
-                warmup_minutes=0,
-                engine="event",
-                events=EventConfig(seed=13),
+                spec=RunSpec(warmup_minutes=0, engine="event", events=EventConfig(seed=13)),
             ).latency
             for _ in range(2)
         ]
@@ -154,9 +151,11 @@ class TestEventEngine:
             simulate_policy(
                 IndexedFixedKeepAlivePolicy(10),
                 small_split.simulation,
-                warmup_minutes=0,
-                engine="event",
-                events=EventConfig(seed=seed, cold_start_scale=40.0),
+                spec=RunSpec(
+                    warmup_minutes=0,
+                    engine="event",
+                    events=EventConfig(seed=seed, cold_start_scale=40.0),
+                ),
             )
             for seed in (1, 2)
         ]
@@ -177,13 +176,11 @@ class TestEventEngine:
         result = simulate_policy(
             NoKeepAlivePolicy(),
             trace,
-            warmup_minutes=0,
-            engine="event",
-            events=EventConfig(
+            spec=RunSpec(warmup_minutes=0, engine="event", events=EventConfig(
                 seed=3,
                 derive_profiles=False,
                 default_profile=DurationProfile(cold_start_ms=30_000.0),
-            ),
+            )),
         )
         latency = result.latency
         assert latency.cold_start_events == trace.duration_minutes
@@ -203,8 +200,7 @@ class TestEventEngine:
         result = simulate_policy(
             AlwaysWarmPolicy(),
             small_split.simulation,
-            warmup_minutes=0,
-            engine="event",
+            spec=RunSpec(warmup_minutes=0, engine="event"),
         )
         latency = result.latency
         minute_zero = set(small_split.simulation.invocations_at(0))
@@ -215,8 +211,7 @@ class TestEventEngine:
         latency = simulate_policy(
             FixedKeepAlivePolicy(10),
             small_split.simulation,
-            warmup_minutes=0,
-            engine="event",
+            spec=RunSpec(warmup_minutes=0, engine="event"),
         ).latency
         pooled = np.concatenate(list(latency.per_function_wait_ms.values()))
         assert pooled.size == latency.cold_wait_ms.size
@@ -228,9 +223,11 @@ class TestEventEngine:
         latency = simulate_policy(
             FixedKeepAlivePolicy(10),
             small_split.simulation,
-            warmup_minutes=0,
-            engine="event",
-            events=EventConfig(derive_profiles=False),
+            spec=RunSpec(
+                warmup_minutes=0,
+                engine="event",
+                events=EventConfig(derive_profiles=False),
+            ),
         ).latency
         expected = latency.total_events * DEFAULT_DURATION_PROFILE.execution_ms
         assert latency.total_execution_ms == pytest.approx(expected)
@@ -243,9 +240,7 @@ class TestEventEngineWithCluster:
             IndexedFixedKeepAlivePolicy(30),
             small_split.simulation,
             small_split.training,
-            warmup_minutes=180,
-            engine="event",
-            cluster=cluster,
+            spec=RunSpec(warmup_minutes=180, engine="event", cluster=cluster),
         )
         assert result.cluster is not None
         assert result.cluster.capacity_cold_starts > 0  # the cap bites
@@ -259,8 +254,7 @@ class TestEventEngineWithCluster:
         result = simulate_policy(
             IndexedFixedKeepAlivePolicy(10),
             small_split.simulation,
-            warmup_minutes=0,
-            engine="event",
+            spec=RunSpec(warmup_minutes=0, engine="event"),
         )
         assert result.latency.capacity_cold_events == 0
 
@@ -269,14 +263,11 @@ class TestEventEngineWithCluster:
 # Intra-node CPU scheduling stage
 # --------------------------------------------------------------------- #
 class TestCpuScheduling:
-    def _run(self, split, events, **kwargs):
+    def _run(self, split, events, **spec_fields):
         return simulate_policy(
             IndexedFixedKeepAlivePolicy(10),
             split.simulation,
-            warmup_minutes=0,
-            engine="event",
-            events=events,
-            **kwargs,
+            spec=RunSpec(warmup_minutes=0, engine="event", events=events, **spec_fields),
         )
 
     def test_without_cpu_config_layer_is_inert(self, small_split):

@@ -27,6 +27,7 @@ from repro.simulation import (
 )
 from repro.simulation.engine import ENGINE_IMPLEMENTATIONS, EVENT_ENGINES
 from repro.traces import AzureTraceGenerator, GeneratorProfile, split_trace
+from repro.simulation.spec import RunSpec
 
 
 @pytest.fixture(scope="module")
@@ -124,8 +125,7 @@ class TestFeedbackEngineWiring:
             IndexedFixedKeepAlivePolicy(10),
             split.simulation,
             split.training,
-            warmup_minutes=60,
-            engine="event-feedback",
+            spec=RunSpec(warmup_minutes=60, engine="event-feedback"),
         )
         assert result.latency is not None
         assert result.latency.cold_start_events == result.total_cold_starts
@@ -139,7 +139,7 @@ class TestFeedbackEngineWiring:
                 minutes.append(minute)
 
         simulate_policy(
-            Probe(10), split.simulation, warmup_minutes=0, engine="event-feedback"
+            Probe(10), split.simulation, spec=RunSpec(warmup_minutes=0, engine="event-feedback")
         )
         assert minutes == list(range(split.simulation.duration_minutes))
 
@@ -152,14 +152,14 @@ class TestFeedbackEngineWiring:
 
         for engine in ("vectorized", "event"):
             simulate_policy(
-                Probe(10), split.simulation, warmup_minutes=0, engine=engine
+                Probe(10), split.simulation, spec=RunSpec(warmup_minutes=0, engine=engine)
             )
         assert fired == []
 
     def test_event_config_accepted_by_feedback_engine_only(self, split):
         with pytest.raises(ValueError, match="event engine"):
-            Simulator(split.simulation, events=EventConfig(), engine="vectorized")
-        Simulator(split.simulation, events=EventConfig(), engine="event-feedback")
+            Simulator(split.simulation, spec=RunSpec(events=EventConfig(), engine="vectorized"))
+        Simulator(split.simulation, spec=RunSpec(events=EventConfig(), engine="event-feedback"))
 
 
 class TestNoOpHookEquivalence:
@@ -180,8 +180,7 @@ class TestNoOpHookEquivalence:
                 indexed_factory(),
                 split.simulation,
                 split.training,
-                warmup_minutes=120,
-                engine=engine,
+                spec=RunSpec(warmup_minutes=120, engine=engine),
             ).deterministic_fingerprint()
             for engine in ("event", "event-feedback")
         }
@@ -194,9 +193,7 @@ class TestNoOpHookEquivalence:
                 IndexedFixedKeepAlivePolicy(10),
                 split.simulation,
                 split.training,
-                warmup_minutes=120,
-                engine=engine,
-                cluster=cluster,
+                spec=RunSpec(warmup_minutes=120, engine=engine, cluster=cluster),
             ).deterministic_fingerprint()
             for engine in ("event", "event-feedback")
         }
@@ -296,13 +293,13 @@ class TestLatencyAwareKeepAlive:
             IndexedFixedKeepAlivePolicy(10),
             split.simulation,
             split.training,
-            warmup_minutes=120,
+            spec=RunSpec(warmup_minutes=120),
         )
         latency_aware = simulate_policy(
             LatencyAwareKeepAlivePolicy(base_keep_alive_minutes=10),
             split.simulation,
             split.training,
-            warmup_minutes=120,
+            spec=RunSpec(warmup_minutes=120),
         )
         # Same decisions, different policy name: compare the per-function
         # statistics rather than the (name-hashing) fingerprint.
@@ -337,9 +334,7 @@ class TestClosedLoopOutcomes:
             policy,
             workload.split.simulation,
             workload.split.training,
-            warmup_minutes=0,
-            engine=engine,
-            events=workload.events,
+            spec=RunSpec(warmup_minutes=0, engine=engine, events=workload.events),
         )
 
     def test_feedback_actually_changes_latency_aware_decisions(self):
@@ -385,7 +380,6 @@ class TestClosedLoopOutcomes:
             seed=self.SHAPE["seed"],
             duration_days=self.SHAPE["days"],
             training_days=self.SHAPE["training_days"],
-            warmup_minutes=0,
         )
         report = latency_rq(
             scenarios=("seasonal-mix",),

@@ -27,6 +27,7 @@ from repro.core import IndexedSpesPolicy
 from repro.simulation import ClusterModel, simulate_policy
 from repro.simulation.memory import DEFAULT_MEMORY_MB, footprint_kb_vector
 from repro.traces import Trace, TraceSplit
+from repro.simulation.spec import RunSpec
 
 SEED = 23
 
@@ -73,11 +74,13 @@ def run(split, *, engine="vectorized", memory_mode="unit", shards=0, cluster=Non
         IndexedFixedKeepAlivePolicy(10),
         split.simulation,
         split.training,
-        warmup_minutes=60,
-        engine=engine,
-        memory_mode=memory_mode,
-        shards=shards,
-        cluster=cluster,
+        spec=RunSpec(
+            warmup_minutes=60,
+            engine=engine,
+            memory_mode=memory_mode,
+            shards=shards,
+            cluster=cluster,
+        ),
     )
 
 
@@ -161,10 +164,7 @@ class TestMbMode:
             IndexedSpesPolicy(),
             measured_split.simulation,
             measured_split.training,
-            warmup_minutes=60,
-            engine="vectorized",
-            memory_mode="mb",
-            cluster=cluster,
+            spec=RunSpec(warmup_minutes=60, engine="vectorized", memory_mode="mb", cluster=cluster),
         )
         assert result.cluster is not None
         assert np.isfinite(result.emcr_mb)

@@ -20,6 +20,7 @@ from repro.simulation import (
 from repro.simulation.placement import UNPLACED
 from repro.traces import FunctionRecord, Trace
 from repro.traces.schema import TraceMetadata
+from repro.simulation.spec import RunSpec
 
 
 def ids_on_node(node: int, count: int, n_nodes: int, prefix: str = "f") -> list[str]:
@@ -157,8 +158,7 @@ class TestStrategies:
             IndexedFixedKeepAlivePolicy(10),
             workload.split.simulation,
             None,
-            warmup_minutes=0,
-            cluster=workload.cluster,
+            spec=RunSpec(warmup_minutes=0, cluster=workload.cluster),
         )
         assert seen == [None]
         seen.clear()
@@ -166,8 +166,7 @@ class TestStrategies:
             IndexedFixedKeepAlivePolicy(10),
             workload.split.simulation,
             workload.split.training,
-            warmup_minutes=0,
-            cluster=workload.cluster,
+            spec=RunSpec(warmup_minutes=0, cluster=workload.cluster),
         )
         assert seen == [workload.split.training]
 
@@ -197,7 +196,7 @@ class TestArbiterEdgeCases:
         trace = small_trace(series)
         model = ClusterModel(memory_capacity=2, n_nodes=1)
         result = simulate_policy(
-            IndexedFixedKeepAlivePolicy(10), trace, warmup_minutes=0, cluster=model
+            IndexedFixedKeepAlivePolicy(10), trace, spec=RunSpec(warmup_minutes=0, cluster=model)
         )
         assert result.peak_memory_usage == 5  # on-demand loads are uncapped
         assert result.cluster.peak_node_usage == 5
@@ -212,7 +211,7 @@ class TestArbiterEdgeCases:
         trace = small_trace(series)
         model = ClusterModel(memory_capacity=8, n_nodes=8, placement=placement)
         result = simulate_policy(
-            IndexedFixedKeepAlivePolicy(10), trace, warmup_minutes=0, cluster=model
+            IndexedFixedKeepAlivePolicy(10), trace, spec=RunSpec(warmup_minutes=0, cluster=model)
         )
         assert result.cluster.node_usage.shape == (5, 8)
         assert result.cluster.evictions == 0
@@ -226,8 +225,7 @@ class TestArbiterEdgeCases:
             IndexedFixedKeepAlivePolicy(30),
             workload.split.simulation,
             workload.split.training,
-            warmup_minutes=60,
-            cluster=workload.cluster,
+            spec=RunSpec(warmup_minutes=60, cluster=workload.cluster),
         )
         stats = result.cluster
         assert stats.node_evictions is not None
@@ -238,8 +236,9 @@ class TestArbiterEdgeCases:
         series = {"a": [1] * 5, "b": [1] * 5}
         trace = small_trace(series)
         result = simulate_policy(
-            IndexedFixedKeepAlivePolicy(10), trace, warmup_minutes=0,
-            cluster=ClusterModel(memory_capacity=4, n_nodes=1),
+            IndexedFixedKeepAlivePolicy(10),
+            trace,
+            spec=RunSpec(warmup_minutes=0, cluster=ClusterModel(memory_capacity=4, n_nodes=1)),
         )
         assert result.cluster.load_imbalance == 0.0
 
@@ -354,9 +353,7 @@ class TestMigration:
             IndexedFixedKeepAlivePolicy(10),
             workload.split.simulation,
             workload.split.training,
-            warmup_minutes=60,
-            engine="event",
-            cluster=cluster,
+            spec=RunSpec(warmup_minutes=60, engine="event", cluster=cluster),
         )
         stats = result.cluster
         assert stats.migrations > 0
@@ -388,8 +385,7 @@ class TestHotShardScenario:
                 IndexedFixedKeepAlivePolicy(10),
                 workload.split.simulation,
                 workload.split.training,
-                warmup_minutes=60,
-                cluster=cluster,
+                spec=RunSpec(warmup_minutes=60, cluster=cluster),
             )
 
         hashed = run("hash")
@@ -434,10 +430,12 @@ class TestGoldenFingerprints:
             IndexedFixedKeepAlivePolicy(10),
             workload.split.simulation,
             workload.split.training,
-            warmup_minutes=60,
-            engine=engine,
-            cluster=cluster,
-            events=workload.events if engine == "event" else None,
+            spec=RunSpec(
+                warmup_minutes=60,
+                engine=engine,
+                cluster=cluster,
+                events=workload.events if engine == "event" else None,
+            ),
         )
 
     def test_every_strategy_has_a_golden(self):

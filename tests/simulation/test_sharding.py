@@ -34,6 +34,7 @@ from repro.simulation import (
 )
 from repro.simulation.results import SimulationResult
 from repro.traces import AzureTraceGenerator, GeneratorProfile, SparseTrace, split_trace
+from repro.simulation.spec import RunSpec
 
 SEED = 11
 
@@ -167,14 +168,13 @@ class TestShardedEquivalence:
             FixedKeepAlivePolicy(5),
             tiny_split.simulation,
             tiny_split.training,
-            warmup_minutes=60,
+            spec=RunSpec(warmup_minutes=60),
         )
         sharded = simulate_policy(
             FixedKeepAlivePolicy(5),
             tiny_split.simulation,
             tiny_split.training,
-            warmup_minutes=60,
-            shards=6,
+            spec=RunSpec(warmup_minutes=60, shards=6),
         )
         assert (
             sharded.deterministic_fingerprint() == whole.deterministic_fingerprint()
@@ -214,11 +214,13 @@ class TestShardedEquivalence:
                 IndexedFixedKeepAlivePolicy(10),
                 workload.simulation,
                 workload.training,
-                warmup_minutes=60,
-                engine="event",
-                cluster=cluster,
-                events=events,
-                shards=shards,
+                spec=RunSpec(
+                    warmup_minutes=60,
+                    engine="event",
+                    cluster=cluster,
+                    events=events,
+                    shards=shards,
+                ),
             )
             runs[shards] = result
         whole, sharded = runs[0].latency, runs[4].latency
@@ -242,12 +244,11 @@ class TestShardedEquivalence:
 # Fallback diagnostics
 # --------------------------------------------------------------------------- #
 class TestShardFallback:
-    def _run(self, workload, policy, **kwargs):
+    def _run(self, workload, policy, **spec_fields):
         simulator = Simulator(
             workload.simulation,
             training_trace=workload.training,
-            warmup_minutes=60,
-            **kwargs,
+            spec=RunSpec(warmup_minutes=60, **spec_fields),
         )
         return simulator.run(policy)
 
@@ -300,7 +301,7 @@ class TestShardFallback:
 
     def test_negative_shards_rejected(self, workload):
         with pytest.raises(ValueError):
-            Simulator(workload.simulation, shards=-1)
+            Simulator(workload.simulation, spec=RunSpec(shards=-1))
 
 
 # --------------------------------------------------------------------------- #
@@ -310,7 +311,7 @@ class TestMergeShards:
     @pytest.fixture(scope="class")
     def halves(self, workload):
         simulator = Simulator(
-            workload.simulation, training_trace=workload.training, warmup_minutes=60
+            workload.simulation, training_trace=workload.training, spec=RunSpec(warmup_minutes=60)
         )
         n = len(workload.simulation.function_ids)
         first = simulator.shard_simulator(np.arange(0, n, 2))
@@ -326,7 +327,7 @@ class TestMergeShards:
             FixedKeepAlivePolicy(5),
             workload.simulation,
             workload.training,
-            warmup_minutes=60,
+            spec=RunSpec(warmup_minutes=60),
         )
         assert (
             merged.deterministic_fingerprint() == whole.deterministic_fingerprint()
@@ -352,7 +353,7 @@ class TestMergeShards:
             FixedKeepAlivePolicy(5),
             tiny_split.simulation,
             tiny_split.training,
-            warmup_minutes=60,
+            spec=RunSpec(warmup_minutes=60),
         )
         with pytest.raises(ValueError, match="duration"):
             SimulationResult.merge_shards([first, other])
@@ -360,7 +361,7 @@ class TestMergeShards:
     def test_policy_name_mismatch_rejected(self, workload, halves):
         first, _ = halves
         simulator = Simulator(
-            workload.simulation, training_trace=workload.training, warmup_minutes=60
+            workload.simulation, training_trace=workload.training, spec=RunSpec(warmup_minutes=60)
         )
         n = len(workload.simulation.function_ids)
         other = simulator.shard_simulator(np.arange(1, n, 2)).run(SpesPolicy())

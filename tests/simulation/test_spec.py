@@ -43,15 +43,18 @@ class TestConstruction:
         with pytest.raises(dataclasses.FrozenInstanceError):
             RunSpec().engine = "event"
 
-    def test_build_drops_none_overrides(self):
-        # None means "use the field default" — that is the whole point of
-        # the entry points' keyword shims defaulting their knobs to None.
-        assert RunSpec.build(engine=None, shards=None) == RunSpec()
-        assert RunSpec.build(engine="event").engine == "event"
+    def test_from_cli_args_drops_none_flags(self):
+        # A None flag means "use the field default".
+        args = argparse.Namespace(engine=None, shards=None)
+        assert RunSpec.from_cli_args(args) == RunSpec()
+        args = argparse.Namespace(engine="event")
+        assert RunSpec.from_cli_args(args).engine == "event"
 
-    def test_build_keeps_falsy_non_none_overrides(self):
-        assert RunSpec.build(warmup_minutes=0).warmup_minutes == 0
-        assert RunSpec.build(streaming=False).streaming is False
+    def test_from_cli_args_keeps_falsy_non_none_flags(self):
+        args = argparse.Namespace(warmup_minutes=0, streaming=False)
+        spec = RunSpec.from_cli_args(args)
+        assert spec.warmup_minutes == 0
+        assert spec.streaming is False
 
     def test_from_cli_args(self):
         args = argparse.Namespace(
@@ -157,11 +160,13 @@ class TestCanonical:
         assert RunSpec().spec_digest() == content_digest(RunSpec())
 
     def test_equal_specs_from_different_constructors(self):
-        assert RunSpec.build(engine="event") == RunSpec(engine="event")
-        assert (
-            RunSpec.build(engine="event").spec_digest()
-            == RunSpec(engine="event").spec_digest()
-        )
+        direct = RunSpec(engine="event")
+        for other in (
+            RunSpec().override(engine="event"),
+            RunSpec.from_cli_args(argparse.Namespace(engine="event")),
+        ):
+            assert other == direct
+            assert other.spec_digest() == direct.spec_digest()
 
 
 class TestCacheKeyParts:

@@ -12,6 +12,7 @@ from repro.simulation import (
 )
 from repro.traces import FunctionRecord, Trace
 from repro.traces.schema import TraceMetadata
+from repro.simulation.spec import RunSpec
 
 
 def small_trace(series_by_id, name="t"):
@@ -49,7 +50,7 @@ class TestVectorizedPolicy:
 
     def test_simulator_binds_automatically(self):
         trace = small_trace({"f": [1, 0, 0, 1]})
-        result = simulate_policy(CountdownPolicy(2), trace, warmup_minutes=0)
+        result = simulate_policy(CountdownPolicy(2), trace, spec=RunSpec(warmup_minutes=0))
         stats = result.per_function["f"]
         # Invoked at 0, kept through minutes 1-2, evicted before 3 -> warm at
         # nothing; minute 3 arrives after expiry (0+2 < 3) -> cold again.
@@ -58,9 +59,9 @@ class TestVectorizedPolicy:
 
     def test_dict_bridge_matches_indexed_run(self):
         trace = small_trace({"a": [1, 0, 1, 0, 1], "b": [0, 1, 0, 1, 0]})
-        vectorized = simulate_policy(CountdownPolicy(2), trace, warmup_minutes=0)
+        vectorized = simulate_policy(CountdownPolicy(2), trace, spec=RunSpec(warmup_minutes=0))
         reference = simulate_policy(
-            CountdownPolicy(2), trace, warmup_minutes=0, engine="reference"
+            CountdownPolicy(2), trace, spec=RunSpec(warmup_minutes=0, engine="reference")
         )
         assert (
             vectorized.deterministic_fingerprint()
@@ -70,7 +71,7 @@ class TestVectorizedPolicy:
     def test_returned_mask_is_copied_by_the_engine(self):
         # The policy reuses one buffer; the engine must not alias it.
         trace = small_trace({"a": [1, 1, 1], "b": [1, 0, 0]})
-        result = simulate_policy(CountdownPolicy(1), trace, warmup_minutes=0)
+        result = simulate_policy(CountdownPolicy(1), trace, spec=RunSpec(warmup_minutes=0))
         assert result.per_function["a"].cold_starts == 1
 
 
@@ -103,9 +104,9 @@ class TestDictPolicyAdapter:
                 return super().on_minute(minute, invocations) | {"ghost"}
 
         trace = small_trace({"f": [1, 0, 1, 0]})
-        vectorized = simulate_policy(ForeignPolicy(10), trace, warmup_minutes=0)
+        vectorized = simulate_policy(ForeignPolicy(10), trace, spec=RunSpec(warmup_minutes=0))
         reference = simulate_policy(
-            ForeignPolicy(10), trace, warmup_minutes=0, engine="reference"
+            ForeignPolicy(10), trace, spec=RunSpec(warmup_minutes=0, engine="reference")
         )
         assert (
             vectorized.deterministic_fingerprint()
@@ -116,7 +117,7 @@ class TestDictPolicyAdapter:
     def test_warmup_reaches_indexed_policies_through_the_bridge(self):
         training = small_trace({"f": [0, 0, 0, 0, 1]}, name="train")
         simulation = small_trace({"f": [1, 0, 0]}, name="sim")
-        simulator = Simulator(simulation, training, warmup_minutes=5)
+        simulator = Simulator(simulation, training, spec=RunSpec(warmup_minutes=5))
         result = simulator.run(CountdownPolicy(3))
         # Training's last invocation at warm-up minute -1 keeps the instance
         # resident through simulation minute 0.

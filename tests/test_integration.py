@@ -13,6 +13,7 @@ from repro.core import SpesConfig, SpesPolicy
 from repro.core.categories import FunctionCategory
 from repro.experiments import ExperimentConfig, ExperimentRunner
 from repro.simulation import simulate_policy
+from repro.simulation.spec import RunSpec
 
 
 @pytest.fixture(scope="module")
@@ -22,9 +23,8 @@ def runner():
         seed=2024,
         duration_days=6.0,
         training_days=5.0,
-        warmup_minutes=720,
     )
-    return ExperimentRunner(config)
+    return ExperimentRunner(config, spec=RunSpec(warmup_minutes=720))
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +111,6 @@ class TestTradeoffShape:
 class TestSmallScaleSanity:
     def test_spes_runs_without_training_data(self, small_split):
         result = simulate_policy(
-            SpesPolicy(SpesConfig()), small_split.simulation, None, warmup_minutes=0
+            SpesPolicy(SpesConfig()), small_split.simulation, None, spec=RunSpec(warmup_minutes=0)
         )
         assert result.total_invocations > 0

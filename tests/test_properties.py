@@ -20,6 +20,7 @@ from repro.core.slacking import merge_small_waiting_times, trim_boundary_waiting
 from repro.simulation import simulate_policy
 from repro.traces import FunctionRecord, Trace
 from repro.traces.schema import TraceMetadata
+from repro.simulation.spec import RunSpec
 
 # --------------------------------------------------------------------------- #
 # Strategies
@@ -212,7 +213,9 @@ class TestSimulationProperties:
     @given(matrix=small_matrices, keep_alive=st.integers(1, 15))
     def test_fixed_keepalive_invariants(self, matrix, keep_alive):
         trace = _trace_from_matrix(matrix)
-        result = simulate_policy(FixedKeepAlivePolicy(keep_alive), trace, warmup_minutes=0)
+        result = simulate_policy(
+            FixedKeepAlivePolicy(keep_alive), trace, spec=RunSpec(warmup_minutes=0)
+        )
         invoked_minutes = sum(
             int((trace.series(fid) > 0).sum()) for fid in trace.function_ids
         )
@@ -226,7 +229,7 @@ class TestSimulationProperties:
     @given(matrix=small_matrices)
     def test_spes_invariants_without_training(self, matrix):
         trace = _trace_from_matrix(matrix)
-        result = simulate_policy(SpesPolicy(), trace, warmup_minutes=0)
+        result = simulate_policy(SpesPolicy(), trace, spec=RunSpec(warmup_minutes=0))
         for stats in result.per_function.values():
             assert 0 <= stats.cold_starts <= stats.invocations
             assert stats.wasted_memory_time <= trace.duration_minutes
@@ -236,7 +239,11 @@ class TestSimulationProperties:
     @given(matrix=small_matrices, keep_alive=st.integers(1, 10))
     def test_longer_keepalive_never_increases_cold_starts(self, matrix, keep_alive):
         trace = _trace_from_matrix(matrix)
-        short = simulate_policy(FixedKeepAlivePolicy(keep_alive), trace, warmup_minutes=0)
-        long = simulate_policy(FixedKeepAlivePolicy(keep_alive + 10), trace, warmup_minutes=0)
+        short = simulate_policy(
+            FixedKeepAlivePolicy(keep_alive), trace, spec=RunSpec(warmup_minutes=0)
+        )
+        long = simulate_policy(
+            FixedKeepAlivePolicy(keep_alive + 10), trace, spec=RunSpec(warmup_minutes=0)
+        )
         assert long.total_cold_starts <= short.total_cold_starts
         assert long.total_wasted_memory_time >= short.total_wasted_memory_time

@@ -12,6 +12,10 @@ from repro.scenarios import (
     register_scenario,
     scenario_names,
 )
+from repro.simulation.spec import RunSpec
+
+#: Run shape of the suite tests: a one-hour warm-up keeps tiny workloads fast.
+SUITE_SPEC = RunSpec(warmup_minutes=60)
 
 TINY = dict(seed=5, n_functions=40, days=3.0, training_days=2.0)
 
@@ -266,11 +270,10 @@ class TestAzure2019Scenarios:
     def test_fixture_scenario_sweeps_through_the_suite(self):
         config = ExperimentConfig(
             n_functions=12, seed=5, duration_days=1.0, training_days=0.5,
-            warmup_minutes=60,
         )
         suite = ExperimentSuite(
             config=config, seeds=[5], policies=("fixed-10min-indexed",),
-            scenario="azure2019-fixture", engine="event",
+            scenario="azure2019-fixture", spec=SUITE_SPEC.override(engine="event"),
         )
         outcome = suite.run()
         result = outcome.results[5]["fixed-10min-indexed"]
@@ -283,12 +286,12 @@ class TestAzure2019Scenarios:
         write_azure2019_fixture(tmp_path, n_functions=12, days=2, seed=3)
         config = ExperimentConfig(
             n_functions=10, seed=3, duration_days=2.0, training_days=1.0,
-            warmup_minutes=60,
         )
         suite = ExperimentSuite(
             config=config, seeds=[3], policies=("fixed-10min-indexed",),
             scenario="azure2019",
             scenario_params={"azure_dir": str(tmp_path)},
+            spec=SUITE_SPEC,
         )
         outcome = suite.run()
         assert outcome.results[3]["fixed-10min-indexed"] is not None
@@ -331,10 +334,12 @@ class TestEventEngineRegression:
             IndexedFixedKeepAlivePolicy(10),
             workload.split.simulation,
             workload.split.training,
-            warmup_minutes=60,
-            engine=engine,
-            cluster=workload.cluster,
-            events=workload.events if engine == "event" else None,
+            spec=RunSpec(
+                warmup_minutes=60,
+                engine=engine,
+                cluster=workload.cluster,
+                events=workload.events if engine == "event" else None,
+            ),
         )
 
     def test_every_builtin_scenario_has_a_golden(self):
@@ -404,10 +409,12 @@ class TestEventEngineRegression:
             IndexedFixedKeepAlivePolicy(10),
             base.split.simulation,
             base.split.training,
-            warmup_minutes=60,
-            engine="event",
-            cluster=base.cluster,
-            events=EventConfig(seed=self.SHAPE["seed"]),
+            spec=RunSpec(
+                warmup_minutes=60,
+                engine="event",
+                cluster=base.cluster,
+                events=EventConfig(seed=self.SHAPE["seed"]),
+            ),
         ).latency
         assert scaled.p50_ms > unscaled.p50_ms
 
@@ -416,13 +423,13 @@ class TestSuiteIntegration:
     def test_capacity_squeeze_sweep_reports_evictions(self, tmp_path):
         config = ExperimentConfig(
             n_functions=30, seed=5, duration_days=2.0, training_days=1.5,
-            warmup_minutes=60,
         )
         suite = ExperimentSuite(
             config=config,
             seeds=[5],
             policies=("spes", "fixed-10min"),
             scenario="capacity-squeeze",
+            spec=SUITE_SPEC,
         )
         outcome = suite.run()
         for result in outcome.results[5].values():
@@ -436,10 +443,10 @@ class TestSuiteIntegration:
     def test_uncapped_sweep_has_no_cluster_table(self):
         config = ExperimentConfig(
             n_functions=25, seed=5, duration_days=2.0, training_days=1.5,
-            warmup_minutes=60,
         )
         suite = ExperimentSuite(
-            config=config, seeds=[5], policies=("fixed-10min",), scenario="bursty"
+            config=config, seeds=[5], policies=("fixed-10min",), scenario="bursty",
+            spec=SUITE_SPEC,
         )
         outcome = suite.run()
         assert outcome.cluster_table(5) is None
@@ -448,14 +455,13 @@ class TestSuiteIntegration:
     def test_scenario_cells_hit_the_cache_across_sweeps(self, tmp_path):
         config = ExperimentConfig(
             n_functions=25, seed=5, duration_days=2.0, training_days=1.5,
-            warmup_minutes=60,
         )
         kwargs = dict(
             config=config, seeds=[5], policies=("fixed-10min",),
             scenario="capacity-squeeze", cache_dir=tmp_path,
         )
-        first = ExperimentSuite(**kwargs).run()
-        second = ExperimentSuite(**kwargs).run()
+        first = ExperimentSuite(**kwargs, spec=SUITE_SPEC).run()
+        second = ExperimentSuite(**kwargs, spec=SUITE_SPEC).run()
         assert first.cache_misses > 0
         assert second.cache_misses == 0 and second.cache_hits > 0
         assert (
@@ -466,11 +472,10 @@ class TestSuiteIntegration:
     def test_event_engine_sweep_reports_latency_tables(self):
         config = ExperimentConfig(
             n_functions=25, seed=5, duration_days=2.0, training_days=1.5,
-            warmup_minutes=60,
         )
         suite = ExperimentSuite(
             config=config, seeds=[5], policies=("fixed-10min",),
-            scenario="bursty", engine="event",
+            scenario="bursty", spec=SUITE_SPEC.override(engine="event"),
         )
         outcome = suite.run()
         result = outcome.results[5]["fixed-10min"]
@@ -487,11 +492,10 @@ class TestSuiteIntegration:
     def test_cores_override_adds_slowdown_columns(self):
         config = ExperimentConfig(
             n_functions=25, seed=5, duration_days=2.0, training_days=1.5,
-            warmup_minutes=60,
         )
         suite = ExperimentSuite(
             config=config, seeds=[5], policies=("fixed-10min",),
-            scenario="bursty", engine="event",
+            scenario="bursty", spec=SUITE_SPEC.override(engine="event"),
             cores=1, scheduler="srtf", slo_ms=400.0,
         )
         outcome = suite.run()
@@ -509,11 +513,10 @@ class TestSuiteIntegration:
         # needed for the slowdown columns to appear.
         config = ExperimentConfig(
             n_functions=16, seed=9, duration_days=1.0, training_days=0.5,
-            warmup_minutes=60,
         )
         suite = ExperimentSuite(
             config=config, seeds=[9], policies=("fixed-10min-indexed",),
-            scenario="cpu-starved", engine="event",
+            scenario="cpu-starved", spec=SUITE_SPEC.override(engine="event"),
         )
         outcome = suite.run()
         latency = outcome.results[9]["fixed-10min-indexed"].latency
@@ -530,24 +533,24 @@ class TestSuiteIntegration:
     def test_scheduler_requires_cores(self):
         with pytest.raises(ValueError, match="cores"):
             ExperimentSuite(
-                policies=("fixed-10min",), engine="event", scheduler="srtf"
+                policies=("fixed-10min",), spec=RunSpec(engine="event"), scheduler="srtf"
             )
 
     def test_unknown_scheduler_fails_fast(self):
         with pytest.raises(ValueError, match="unknown scheduler"):
             ExperimentSuite(
-                policies=("fixed-10min",), engine="event",
+                policies=("fixed-10min",), spec=RunSpec(engine="event"),
                 cores=2, scheduler="lottery",
             )
 
     def test_cpu_cells_cache_separately(self, tmp_path):
         config = ExperimentConfig(
             n_functions=25, seed=5, duration_days=2.0, training_days=1.5,
-            warmup_minutes=60,
         )
         kwargs = dict(
             config=config, seeds=[5], policies=("fixed-10min",),
-            scenario="bursty", engine="event", cache_dir=tmp_path,
+            scenario="bursty", spec=SUITE_SPEC.override(engine="event"),
+            cache_dir=tmp_path,
         )
         plain = ExperimentSuite(**kwargs).run()
         contended = ExperimentSuite(**kwargs, cores=1, scheduler="srtf").run()
@@ -566,14 +569,13 @@ class TestSuiteIntegration:
     def test_event_engine_cells_cache_separately_from_vectorized(self, tmp_path):
         config = ExperimentConfig(
             n_functions=25, seed=5, duration_days=2.0, training_days=1.5,
-            warmup_minutes=60,
         )
         kwargs = dict(
             config=config, seeds=[5], policies=("fixed-10min",),
             cache_dir=tmp_path,
         )
-        vectorized = ExperimentSuite(**kwargs, engine="vectorized").run()
-        event = ExperimentSuite(**kwargs, engine="event").run()
+        vectorized = ExperimentSuite(**kwargs, spec=SUITE_SPEC).run()
+        event = ExperimentSuite(**kwargs, spec=SUITE_SPEC.override(engine="event")).run()
         # Different engines never share cache entries (the event result must
         # carry its latency block) ...
         assert event.cache_misses > 0
@@ -584,18 +586,18 @@ class TestSuiteIntegration:
             vectorized.results[5]["fixed-10min"].deterministic_fingerprint()
             == event.results[5]["fixed-10min"].deterministic_fingerprint()
         )
-        cached = ExperimentSuite(**kwargs, engine="event").run()
+        cached = ExperimentSuite(**kwargs, spec=SUITE_SPEC.override(engine="event")).run()
         assert cached.cache_hits > 0 and cached.cache_misses == 0
         assert cached.results[5]["fixed-10min"].latency is not None
 
     def test_placement_override_reaches_every_cell(self):
         config = ExperimentConfig(
             n_functions=25, seed=5, duration_days=2.0, training_days=1.5,
-            warmup_minutes=60,
         )
         suite = ExperimentSuite(
             config=config, seeds=[5], policies=("fixed-10min",),
             scenario="hot-shard", placement="least-loaded",
+            spec=SUITE_SPEC,
         )
         outcome = suite.run()
         cluster = outcome.results[5]["fixed-10min"].cluster
@@ -616,7 +618,6 @@ class TestSuiteIntegration:
     def test_placement_requires_a_cluster_scenario(self):
         config = ExperimentConfig(
             n_functions=25, seed=5, duration_days=2.0, training_days=1.5,
-            warmup_minutes=60,
         )
         suite = ExperimentSuite(
             config=config, seeds=[5], policies=("fixed-10min",),
@@ -628,11 +629,11 @@ class TestSuiteIntegration:
     def test_streaming_sweep_is_deterministic_across_runs(self):
         config = ExperimentConfig(
             n_functions=25, seed=5, duration_days=2.0, training_days=1.5,
-            warmup_minutes=60,
         )
         kwargs = dict(
             config=config, seeds=[5], policies=("fixed-10min-indexed",),
-            scenario="load-ramp", engine="event-feedback", streaming=True,
+            scenario="load-ramp",
+            spec=SUITE_SPEC.override(engine="event-feedback", streaming=True),
         )
         first = ExperimentSuite(**kwargs).run()
         second = ExperimentSuite(**kwargs).run()
@@ -644,14 +645,13 @@ class TestSuiteIntegration:
     def test_streaming_mode_withholds_the_training_window(self):
         config = ExperimentConfig(
             n_functions=25, seed=5, duration_days=2.0, training_days=1.5,
-            warmup_minutes=60,
         )
         kwargs = dict(
             config=config, seeds=[5], policies=("hybrid-function-indexed",),
             scenario="load-ramp",
         )
-        trained = ExperimentSuite(**kwargs).run()
-        streaming = ExperimentSuite(**kwargs, streaming=True).run()
+        trained = ExperimentSuite(**kwargs, spec=SUITE_SPEC).run()
+        streaming = ExperimentSuite(**kwargs, spec=SUITE_SPEC.override(streaming=True)).run()
         # The histogram policy's offline phase (and warm-up replay) must be
         # gone: a policy entering cold produces different decisions.
         assert (
@@ -662,21 +662,20 @@ class TestSuiteIntegration:
     def test_streaming_cells_cache_separately(self, tmp_path):
         config = ExperimentConfig(
             n_functions=25, seed=5, duration_days=2.0, training_days=1.5,
-            warmup_minutes=60,
         )
         kwargs = dict(
             config=config, seeds=[5], policies=("fixed-10min-indexed",),
             scenario="load-ramp", cache_dir=tmp_path,
         )
-        ExperimentSuite(**kwargs).run()
-        streaming = ExperimentSuite(**kwargs, streaming=True).run()
+        ExperimentSuite(**kwargs, spec=SUITE_SPEC).run()
+        streaming = ExperimentSuite(**kwargs, spec=SUITE_SPEC.override(streaming=True)).run()
         assert streaming.cache_misses > 0  # never served a trained cell
-        cached = ExperimentSuite(**kwargs, streaming=True).run()
+        cached = ExperimentSuite(**kwargs, spec=SUITE_SPEC.override(streaming=True)).run()
         assert cached.cache_hits > 0 and cached.cache_misses == 0
 
     def test_unknown_engine_fails_fast(self):
         with pytest.raises(ValueError, match="unknown engine"):
-            ExperimentSuite(engine="quantum")
+            ExperimentSuite(spec=RunSpec(engine="quantum"))
 
     def test_unknown_scenario_fails_fast(self):
         with pytest.raises(KeyError, match="unknown scenario"):
@@ -697,7 +696,6 @@ class TestRq6Report:
 
         config = ExperimentConfig(
             n_functions=12, seed=5, duration_days=1.0, training_days=0.5,
-            warmup_minutes=60,
         )
         report = slowdown_rq(
             scenarios=("azure2019-fixture",),
