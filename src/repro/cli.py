@@ -94,7 +94,18 @@ from repro.experiments.rq4_ablation import (
     adaptivity_ablation,
     correlation_ablation,
 )
+from repro.experiments.rq5_latency import (
+    DEFAULT_LATENCY_RQ_POLICIES,
+    DEFAULT_LATENCY_RQ_SCENARIOS,
+)
+from repro.experiments.rq6_slowdown import (
+    DEFAULT_RQ6_CORES,
+    DEFAULT_RQ6_POLICIES,
+    DEFAULT_RQ6_SCENARIOS,
+    DEFAULT_RQ6_SCHEDULERS,
+)
 from repro.metrics.summary import build_comparison
+from repro.simulation.scheduling import scheduler_names
 from repro.simulation.spec import RunSpec
 
 
@@ -720,7 +731,7 @@ def _add_sweep_workload_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--scheduler",
-        choices=("fifo", "rr", "srtf", "las"),
+        choices=scheduler_names(),
         default=None,
         help="intra-node CPU scheduling discipline (requires --cores; default fifo)",
     )
@@ -946,13 +957,13 @@ def build_parser() -> argparse.ArgumentParser:
     latency_rq.add_argument(
         "--scenarios",
         nargs="+",
-        default=["rotating-periods", "load-ramp", "seasonal-mix"],
+        default=list(DEFAULT_LATENCY_RQ_SCENARIOS),
         help="scenario names to evaluate (default: the continuous-drift catalog)",
     )
     latency_rq.add_argument(
         "--policies",
         nargs="+",
-        default=["fixed-10min-indexed", "latency-keepalive"],
+        default=list(DEFAULT_LATENCY_RQ_POLICIES),
         help="policies to compare (default: open-loop fixed vs. latency-aware)",
     )
     latency_rq.add_argument(
@@ -999,27 +1010,27 @@ def build_parser() -> argparse.ArgumentParser:
     slowdown_rq.add_argument(
         "--scenarios",
         nargs="+",
-        default=["cpu-starved", "long-duration-mix"],
+        default=list(DEFAULT_RQ6_SCENARIOS),
         help="scenario names to evaluate (default: the CPU-contention catalog)",
     )
     slowdown_rq.add_argument(
         "--policies",
         nargs="+",
-        default=["fixed-10min-indexed", "spes-indexed"],
+        default=list(DEFAULT_RQ6_POLICIES),
         help="policies to compare (default: fixed keep-alive vs. the paper's)",
     )
     slowdown_rq.add_argument(
         "--schedulers",
         nargs="+",
-        choices=("fifo", "rr", "srtf", "las"),
-        default=["fifo", "srtf"],
+        choices=scheduler_names(),
+        default=list(DEFAULT_RQ6_SCHEDULERS),
         help="intra-node CPU disciplines to sweep (default: fifo vs. srtf)",
     )
     slowdown_rq.add_argument(
         "--cores",
         type=int,
         nargs="+",
-        default=[2],
+        default=list(DEFAULT_RQ6_CORES),
         help="per-node core counts to sweep",
     )
     slowdown_rq.add_argument(

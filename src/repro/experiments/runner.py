@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Mapping
+from typing import Dict, Mapping
 
 from repro.core import IndexedSpesPolicy, SpesConfig, SpesPolicy
 from repro.experiments.parallel import ParallelRunner, PolicySpec, default_policy_specs
@@ -126,19 +126,10 @@ class ExperimentRunner:
             self._spes_policy = IndexedSpesPolicy(self.config.spes_config)
         return self._spes_policy
 
-    def baseline_factories(self) -> Dict[str, Callable[[], ProvisioningPolicy]]:
-        """Factories for every baseline policy of the paper's comparison.
-
-        Derived from :meth:`baseline_specs` so the suite is defined in one
-        place; kept for callers that want ready-to-run policy instances.
-        """
-        return {name: spec.build for name, spec in self.baseline_specs().items()}
-
     def baseline_specs(self) -> Dict[str, PolicySpec]:
-        """The baseline suite as picklable :class:`PolicySpec`\\ s.
+        """The paper's baseline suite as picklable :class:`PolicySpec`\\ s.
 
-        Used by the parallel execution path; equivalent to
-        :meth:`baseline_factories` (including the FaaSCache capacity rule).
+        FaaSCache's capacity is the main SPES run's peak memory usage.
         """
         spes_result = self.run_spes()
         capacity = max(1, int(spes_result.peak_memory_usage))
@@ -163,22 +154,18 @@ class ExperimentRunner:
     def run_specs(self, specs: Mapping[str, PolicySpec]) -> Dict[str, SimulationResult]:
         """Simulate several policy specs, fanning out across workers when enabled.
 
-        Results are memoized under the spec names, so repeated calls (and
-        mixed calls with :meth:`simulate`) never re-simulate a policy.
-        Reusing a name that is already bound to a *different* spec — or to a
-        :meth:`simulate` result whose spec is unknown — is rejected rather
+        Results are memoized under the spec names (the main SPES run under
+        ``"spes"``), so repeated calls never re-simulate a policy.  Reusing a
+        name that is already bound to a *different* spec is rejected rather
         than silently served from the other policy's memoized result.
         """
         missing: Dict[str, PolicySpec] = {}
         for name, spec in specs.items():
             if name in self._results:
-                known = self._result_specs.get(name)
-                if known != spec:
+                if self._result_specs[name] != spec:
                     raise ValueError(
-                        f"result name {name!r} is already bound to "
-                        + ("a different policy spec" if known is not None
-                           else "a result with no recorded spec")
-                        + "; pick a distinct name"
+                        f"result name {name!r} is already bound to a different "
+                        "policy spec; pick a distinct name"
                     )
             else:
                 missing[name] = spec
@@ -203,19 +190,14 @@ class ExperimentRunner:
             {key: PolicySpec.of("spes", config=config) for key, config in variants.items()}
         )
 
-    def simulate(self, policy: ProvisioningPolicy, cache_key: str | None = None) -> SimulationResult:
-        """Simulate one policy over the experiment's simulation window."""
-        if cache_key is not None and cache_key in self._results:
-            return self._results[cache_key]
+    def simulate(self, policy: ProvisioningPolicy) -> SimulationResult:
+        """Simulate one policy in-process over the experiment's simulation window."""
         simulator = Simulator(
             simulation_trace=self.split.simulation,
             training_trace=self.split.training,
             spec=self.spec,
         )
-        result = simulator.run(policy)
-        if cache_key is not None:
-            self._results[cache_key] = result
-        return result
+        return simulator.run(policy)
 
     def run_spes(self) -> SimulationResult:
         """Run (or return the cached) main SPES simulation."""
@@ -244,12 +226,3 @@ class ExperimentRunner:
         results = {"spes": self.run_spes()}
         results.update(self.run_baselines())
         return results
-
-    def run_spes_variant(self, config: SpesConfig, cache_key: str | None = None) -> SimulationResult:
-        """Run a SPES variant with a different configuration (sweeps, ablations)."""
-        if cache_key is not None and cache_key in self._results:
-            return self._results[cache_key]
-        result = self.simulate(IndexedSpesPolicy(config), cache_key=cache_key)
-        if cache_key is not None:
-            self._result_specs[cache_key] = PolicySpec.of("spes", config=config)
-        return result

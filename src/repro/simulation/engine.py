@@ -86,14 +86,7 @@ from repro.simulation.memory import (
 )
 from repro.simulation.overhead import OverheadTimer
 from repro.simulation.policy_base import ProvisioningPolicy
-from repro.simulation.spec import (
-    DEFAULT_WARMUP_MINUTES,
-    ENGINE_IMPLEMENTATIONS,
-    ENGINE_VERSION,
-    EVENT_ENGINES,
-    MEMORY_MODES,
-    RunSpec,
-)
+from repro.simulation.spec import EVENT_ENGINES, RunSpec
 from repro.simulation.sharding import shard_assignment, shard_fallback_reason
 from repro.simulation.results import (
     ClusterStats,
@@ -104,21 +97,7 @@ from repro.simulation.results import (
 from repro.simulation.vector_policy import DictPolicyAdapter, VectorizedPolicy
 from repro.traces.trace import Trace
 
-# The engine catalog constants (ENGINE_IMPLEMENTATIONS, MEMORY_MODES,
-# EVENT_ENGINES, ENGINE_VERSION, DEFAULT_WARMUP_MINUTES) historically lived
-# here and are imported from this module all over the tree; they now live in
-# :mod:`repro.simulation.spec` (the validation layer must not import the
-# engine) and are re-exported above for compatibility.
-__all__ = [
-    "ENGINE_IMPLEMENTATIONS",
-    "MEMORY_MODES",
-    "EVENT_ENGINES",
-    "ENGINE_VERSION",
-    "DEFAULT_WARMUP_MINUTES",
-    "ShardFallbackWarning",
-    "Simulator",
-    "simulate_policy",
-]
+__all__ = ["ShardFallbackWarning", "Simulator", "simulate_policy"]
 
 
 class ShardFallbackWarning(RuntimeWarning):

@@ -292,9 +292,9 @@ def get_scheduler(name: str) -> InvocationScheduler:
 
 
 def scheduler_names() -> Tuple[str, ...]:
-    """Sorted tuple of registered scheduler names."""
+    """Registered scheduler names, in registration order (fifo, rr, srtf, las first)."""
 
-    return tuple(sorted(_SCHEDULERS))
+    return tuple(_SCHEDULERS)
 
 
 register_scheduler(FifoScheduler())

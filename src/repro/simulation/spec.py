@@ -20,8 +20,7 @@ value from it.  The frozen dataclass provides:
 * **one set of defaults** — the dataclass field defaults; no entry point
   carries a default of its own.
 
-The module also owns the engine catalog constants (re-exported by
-:mod:`repro.simulation.engine` for compatibility) and the canonical-value /
+The module also owns the engine catalog constants and the canonical-value /
 content-digest helpers previously private to :mod:`repro.experiments
 .parallel` — they live here because the spec layer must not import the
 engine or experiment layers.

@@ -206,12 +206,20 @@ class TestParallelRunner:
         assert unit.cache_key(unit.cell("c", spec, "w")) == legacy_key
         assert mb.cache_key(mb.cell("c", spec, "w")) != legacy_key
 
-    def test_sharded_pool_serial_and_unsharded_agree(self, split):
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            PolicySpec.of("fixed-keepalive", keep_alive_minutes=5),
+            # Trained per function on the training trace, like the paper's policies.
+            PolicySpec.of("hybrid-function"),
+        ],
+        ids=["fixed-5min", "hybrid-function"],
+    )
+    def test_sharded_pool_serial_and_unsharded_agree(self, split, spec):
         """One fingerprint across unsharded, serial-sharded and pool-sharded."""
-        specs = {"fixed-5min": PolicySpec.of("fixed-keepalive", keep_alive_minutes=5)}
         fingerprints = {
-            label: runner.run_policies(specs, trace_key="w", base_seed=3)[
-                "fixed-5min"
+            label: runner.run_policies({"cell": spec}, trace_key="w", base_seed=3)[
+                "cell"
             ].deterministic_fingerprint()
             for label, runner in {
                 "unsharded": ParallelRunner({"w": split}, spec=RunSpec(warmup_minutes=60)),
@@ -307,11 +315,9 @@ class TestExperimentRunnerParallel:
         with pytest.raises(ValueError):
             runner.run_specs({"x": PolicySpec.of("fixed-keepalive", keep_alive_minutes=60)})
 
-    def test_baseline_factories_match_specs(self, tiny_config):
+    def test_baseline_specs_build_the_fixed_10min_keep_alive(self, tiny_config):
         runner = ExperimentRunner(tiny_config, spec=TINY_SPEC)
-        factories = runner.baseline_factories()
-        assert set(factories) == set(runner.baseline_specs())
-        assert factories["fixed-10min"]().keep_alive_minutes == 10
+        assert runner.baseline_specs()["fixed-10min"].build().keep_alive_minutes == 10
 
     def test_runner_disk_cache(self, tiny_config, tmp_path):
         first = ExperimentRunner(tiny_config, spec=TINY_SPEC, cache_dir=tmp_path)

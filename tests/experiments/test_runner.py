@@ -51,16 +51,16 @@ class TestRunner:
         assert first is second
 
     def test_variant_run_with_custom_config(self, runner):
-        result = runner.run_spes_variant(SpesConfig(theta_prewarm=1), cache_key="variant-test")
+        variants = {"variant-test": SpesConfig(theta_prewarm=1)}
+        result = runner.run_spes_variants(variants)["variant-test"]
         assert result.policy_name == "spes"
-        assert runner.run_spes_variant(SpesConfig(theta_prewarm=1), cache_key="variant-test") is result
+        assert runner.run_spes_variants(variants)["variant-test"] is result
 
     def test_lcs_included_when_requested(self):
         config = ExperimentConfig(
             n_functions=40, seed=1, duration_days=3.0, training_days=2.0, include_lcs=True
         )
-        factories = ExperimentRunner(config).baseline_factories()
-        assert "lcs" in factories
+        assert "lcs" in ExperimentRunner(config).baseline_specs()
 
 
 class TestRq1(object):

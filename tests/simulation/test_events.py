@@ -14,6 +14,7 @@ from repro.simulation import (
     simulate_policy,
 )
 from repro.simulation.events import SECONDS_PER_MINUTE, expand_minute_offsets
+from repro.simulation.scheduling import scheduler_names
 from repro.traces import (
     DEFAULT_DURATION_PROFILE,
     DurationProfile,
@@ -23,7 +24,10 @@ from repro.traces import (
     duration_profile_for,
 )
 from repro.traces.schema import TraceMetadata
-from repro.simulation.spec import RunSpec
+from repro.simulation.spec import EVENT_ENGINES, RunSpec
+
+#: Every registered CPU discipline (fifo, rr, srtf, las, ...).
+SCHEDULERS = scheduler_names()
 
 
 # --------------------------------------------------------------------- #
@@ -114,17 +118,21 @@ class TestEventEngine:
                 spec=RunSpec(engine="reference", cluster=ClusterModel(memory_capacity=10)),
             )
 
-    def test_minute_engines_carry_no_latency_block(self, small_split):
-        result = simulate_policy(
-            FixedKeepAlivePolicy(10), small_split.simulation, spec=RunSpec(warmup_minutes=0)
-        )
-        assert result.latency is None
-
-    def test_event_totals_match_the_trace(self, small_split):
+    @pytest.mark.parametrize("engine", ("vectorized", "reference"))
+    def test_minute_engines_carry_no_latency_block(self, small_split, engine):
         result = simulate_policy(
             FixedKeepAlivePolicy(10),
             small_split.simulation,
-            spec=RunSpec(warmup_minutes=0, engine="event"),
+            spec=RunSpec(warmup_minutes=0, engine=engine),
+        )
+        assert result.latency is None
+
+    @pytest.mark.parametrize("engine", EVENT_ENGINES)
+    def test_event_totals_match_the_trace(self, small_split, engine):
+        result = simulate_policy(
+            FixedKeepAlivePolicy(10),
+            small_split.simulation,
+            spec=RunSpec(warmup_minutes=0, engine=engine),
         )
         latency = result.latency
         assert latency.total_events == small_split.simulation.total_invocations()
@@ -279,13 +287,15 @@ class TestCpuScheduling:
         assert latency.slo_ms is None
         assert latency.slo_checked_events == 0
 
-    def test_cpu_stage_is_a_pure_observer(self, small_split):
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_cpu_stage_is_a_pure_observer(self, small_split, scheduler):
         # Finite cores change latency accounting, never provisioning: the
-        # fingerprinted minute aggregates match the CPU-free run exactly.
+        # fingerprinted minute aggregates match the CPU-free run exactly,
+        # whichever discipline orders the warm events.
         plain = self._run(small_split, EventConfig(seed=5))
         contended = self._run(
             small_split,
-            EventConfig(seed=5, cpu=CpuConfig(cores_per_node=1, scheduler="fifo")),
+            EventConfig(seed=5, cpu=CpuConfig(cores_per_node=1, scheduler=scheduler)),
         )
         assert (
             plain.deterministic_fingerprint()
@@ -297,13 +307,14 @@ class TestCpuScheduling:
             plain.latency.cold_wait_ms, contended.latency.cold_wait_ms
         )
 
-    def test_cpu_run_schedules_every_event(self, small_split):
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_cpu_run_schedules_every_event(self, small_split, scheduler):
         latency = self._run(
             small_split,
             EventConfig(
                 seed=5,
                 execution_scale=20.0,
-                cpu=CpuConfig(cores_per_node=1, scheduler="fifo"),
+                cpu=CpuConfig(cores_per_node=1, scheduler=scheduler),
             ),
         ).latency
         assert latency.cpu_scheduled_events == latency.total_events
@@ -318,7 +329,7 @@ class TestCpuScheduling:
         assert latency.slowdown_p99 > 1.0
         assert latency.cpu_wait_p99_ms > 0.0
 
-    @pytest.mark.parametrize("scheduler", ["fifo", "rr", "srtf", "las"])
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
     def test_every_discipline_runs_end_to_end(self, small_split, scheduler):
         latency = self._run(
             small_split,
@@ -348,13 +359,14 @@ class TestCpuScheduling:
         # some below 150 ms in the small trace.
         assert 0.0 < latency.slo_violation_rate < 1.0
 
-    def test_tight_slo_flags_everything(self, small_split):
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_tight_slo_flags_everything(self, small_split, scheduler):
         latency = self._run(
             small_split,
             EventConfig(
                 seed=5,
                 slo_ms=1e-6,
-                cpu=CpuConfig(cores_per_node=2),
+                cpu=CpuConfig(cores_per_node=2, scheduler=scheduler),
             ),
         ).latency
         assert latency.slo_checked_events == latency.total_events

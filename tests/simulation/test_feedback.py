@@ -25,9 +25,8 @@ from repro.simulation import (
     Simulator,
     simulate_policy,
 )
-from repro.simulation.engine import ENGINE_IMPLEMENTATIONS, EVENT_ENGINES
+from repro.simulation.spec import ENGINE_IMPLEMENTATIONS, EVENT_ENGINES, RunSpec
 from repro.traces import AzureTraceGenerator, GeneratorProfile, split_trace
-from repro.simulation.spec import RunSpec
 
 
 @pytest.fixture(scope="module")

@@ -109,9 +109,10 @@ class TestUnitModeInvariance:
 # MB-mode exactness
 # --------------------------------------------------------------------------- #
 class TestMbMode:
-    def test_count_based_numbers_are_untouched(self, measured_split):
-        unit = run(measured_split, memory_mode="unit")
-        mb = run(measured_split, memory_mode="mb")
+    @pytest.mark.parametrize("engine", MASK_ENGINES)
+    def test_count_based_numbers_are_untouched(self, measured_split, engine):
+        unit = run(measured_split, engine=engine, memory_mode="unit")
+        mb = run(measured_split, engine=engine, memory_mode="mb")
         np.testing.assert_array_equal(mb.memory_usage, unit.memory_usage)
         assert mb.total_wasted_memory_time == unit.total_wasted_memory_time
         assert mb.emcr == unit.emcr
@@ -119,9 +120,10 @@ class TestMbMode:
             assert mb.per_function[fid].cold_starts == stats.cold_starts
             assert mb.per_function[fid].invocations == stats.invocations
 
-    def test_kb_series_matches_the_footprint_vector(self, measured_split):
+    @pytest.mark.parametrize("engine", MASK_ENGINES)
+    def test_kb_series_matches_the_footprint_vector(self, measured_split, engine):
         """Loaded KB per minute is exactly the sum of resident footprints."""
-        mb = run(measured_split, memory_mode="mb")
+        mb = run(measured_split, engine=engine, memory_mode="mb")
         kb = footprint_kb_vector(measured_split.simulation.records())
         assert mb.memory_usage_kb is not None
         assert mb.memory_usage_kb.dtype == np.int64

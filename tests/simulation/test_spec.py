@@ -202,19 +202,14 @@ class TestCacheKeyParts:
         )
 
 
-def test_constants_reexported_from_engine_module():
-    # Back-compat: the catalog constants moved to spec.py but their historic
-    # import sites must keep working.
-    from repro.simulation import engine as engine_module
-
-    assert engine_module.ENGINE_IMPLEMENTATIONS == ENGINE_IMPLEMENTATIONS
-    assert engine_module.MEMORY_MODES == MEMORY_MODES
-    assert engine_module.EVENT_ENGINES == EVENT_ENGINES
-    assert engine_module.ENGINE_VERSION == ENGINE_VERSION
-    assert engine_module.DEFAULT_WARMUP_MINUTES == DEFAULT_WARMUP_MINUTES
-
+def test_spec_names_exported_from_the_package():
     import repro.simulation as simulation
 
+    assert simulation.ENGINE_IMPLEMENTATIONS is ENGINE_IMPLEMENTATIONS
+    assert simulation.MEMORY_MODES is MEMORY_MODES
+    assert simulation.EVENT_ENGINES is EVENT_ENGINES
+    assert simulation.ENGINE_VERSION == ENGINE_VERSION
+    assert simulation.DEFAULT_WARMUP_MINUTES == DEFAULT_WARMUP_MINUTES
     assert simulation.RunSpec is RunSpec
     assert simulation.canonical_value is canonical_value
     assert simulation.content_digest is content_digest

@@ -87,23 +87,22 @@ class TestCategorizationCoverage:
 class TestAblationShape:
     def test_disabling_correlation_does_not_improve_cold_starts(self, runner):
         full = runner.run_spes()
-        without = runner.run_spes_variant(
-            runner.config.spes_config.replace(
+        without = runner.run_spes_variants({
+            "integration-no-corr": runner.config.spes_config.replace(
                 enable_correlation=False, enable_online_correlation=False
             ),
-            cache_key="integration-no-corr",
-        )
+        })["integration-no-corr"]
         assert full.q3_cold_start_rate <= without.q3_cold_start_rate + 0.05
 
 
 class TestTradeoffShape:
     def test_larger_prewarm_window_trades_memory_for_cold_starts(self, runner):
-        small = runner.run_spes_variant(
-            runner.config.spes_config.replace(theta_prewarm=1), cache_key="integration-pre1"
-        )
-        large = runner.run_spes_variant(
-            runner.config.spes_config.replace(theta_prewarm=10), cache_key="integration-pre10"
-        )
+        config = runner.config.spes_config
+        variants = runner.run_spes_variants({
+            "integration-pre1": config.replace(theta_prewarm=1),
+            "integration-pre10": config.replace(theta_prewarm=10),
+        })
+        small, large = variants["integration-pre1"], variants["integration-pre10"]
         assert large.average_memory_usage >= small.average_memory_usage
         assert large.q3_cold_start_rate <= small.q3_cold_start_rate + 0.05
 
